@@ -8,8 +8,7 @@ like figure jobs, with the registered schemes' own state machines handling
 the switches.  FLUSH pays spill writes at every switch and cold-start
 query misses after; TAG pays nothing at switch time but shares capacity.
 
-As a script it emits ``BENCH_scenarios.json`` (CI uploads it alongside
-``BENCH_trace.json``)::
+As a script it emits ``BENCH_scenarios.json`` (CI uploads it)::
 
     python benchmarks/bench_ablation_context_switch.py \\
         --scale 20000:30000 --quantum 1000 --jobs 2 \\
@@ -29,7 +28,6 @@ import time
 from pathlib import Path
 
 from repro.eval.api import (
-    BACKENDS,
     QUICK_SCALE,
     ResultCache,
     SCENARIO_SCHEMES,
@@ -53,17 +51,17 @@ MIX_CONTENDS = ("equake", "mcf")
 
 
 def run_mix(workloads, quantum=2000, scale=None, n_jobs=1, cache=None,
-            seed=1, progress=None, backend="fused", trace_store=None):
+            seed=1, progress=None, trace_store=None):
     """Scenario jobs -> scheduler -> {(label, strategy): events}.
 
-    The replay backend shows the engine's best case here: the FLUSH and
-    TAG tasks of one mix share a single record pass (the L2 stream does
-    not depend on the switch strategy), so two tasks cost one recording.
+    This is the engine's best case: the FLUSH and TAG tasks of one mix
+    share a single record pass (the L2 stream does not depend on the
+    switch strategy), so two tasks cost one recording.
     """
     jobs = scenario_jobs(workloads, quantum=quantum,
                          scale=scale or QUICK_SCALE, seed=seed)
     results = run_scenario_tasks(jobs, n_jobs=n_jobs, cache=cache,
-                                 progress=progress, backend=backend,
+                                 progress=progress,
                                  trace_store=trace_store)
     return index_scenario_results(results), results
 
@@ -135,13 +133,9 @@ def main() -> int:
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help=f"result cache location "
                              f"(default {default_cache_dir()})")
-    parser.add_argument("--backend", choices=BACKENDS, default="fused",
-                        help="event production backend (default fused; "
-                             "'replay' records each mix once and replays "
-                             "it for both strategies)")
     parser.add_argument("--trace-cache-dir", type=Path, default=None,
-                        help="recorded-stream store for the replay "
-                             "backend (default: the user trace cache)")
+                        help="recorded-stream store (default: the user "
+                             "trace cache)")
     parser.add_argument("--output", type=Path,
                         default=Path("BENCH_scenarios.json"),
                         help="result file (default ./BENCH_scenarios.json)")
@@ -151,9 +145,7 @@ def main() -> int:
         MIX_FITS, MIX_CONTENDS,
     ]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    trace_store = None
-    if args.backend == "replay":
-        trace_store = TraceStore(args.trace_cache_dir)
+    trace_store = TraceStore(args.trace_cache_dir)
     all_events = {}
     all_results = []
     started = time.time()
@@ -162,7 +154,7 @@ def main() -> int:
             mix, quantum=args.quantum, scale=args.scale,
             n_jobs=args.jobs, cache=cache, seed=args.seed,
             progress=lambda line: print(f"  {line}", file=sys.stderr),
-            backend=args.backend, trace_store=trace_store,
+            trace_store=trace_store,
         )
         all_events.update(events)
         all_results.extend(results)

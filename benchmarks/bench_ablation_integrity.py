@@ -10,8 +10,7 @@ same trace pass.
 
 As a script it emits ``BENCH_integrity.json`` (slowdowns, hashes per
 verification, node-cache hit rates, and the measured speedup of the
-leaf-path memoization in the functional hash tree; CI uploads it
-alongside ``BENCH_trace.json``)::
+leaf-path memoization in the functional hash tree; CI uploads it)::
 
     python benchmarks/bench_ablation_integrity.py \\
         --scale 20000:30000 --jobs 2 --output BENCH_integrity.json

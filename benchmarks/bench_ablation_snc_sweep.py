@@ -11,23 +11,29 @@ import pytest
 from repro.eval.api import (
     PAPER_LATENCIES,
     SimulationScale,
-    simulate_benchmark,
+    SimulationTask,
+    SNCSpec,
+    price_batch,
+    record,
+    record_task_for,
 )
-from repro.secure.snc import SNCConfig
 from repro.timing.model import baseline_cycles, otp_cycles, slowdown_pct
-from repro.workloads.spec import BY_NAME
 
 _SIZES_KB = (16, 32, 64, 128, 256)
 _SCALE = SimulationScale(warmup_refs=120_000, measure_refs=150_000)
 
 
+def simulate(task: SimulationTask):
+    return price_batch([task], record(record_task_for(task)))[0]
+
+
 def sweep(bench_name: str) -> dict[int, float]:
-    configs = {
-        f"{kb}kb": SNCConfig(size_bytes=kb * 1024) for kb in _SIZES_KB
-    }
-    events = simulate_benchmark(
-        BY_NAME[bench_name], scale=_SCALE, snc_configs=configs
-    )
+    events = simulate(SimulationTask(
+        workload=bench_name,
+        snc_configs=tuple(SNCSpec(key=f"{kb}kb", size_bytes=kb * 1024)
+                          for kb in _SIZES_KB),
+        scale=_SCALE,
+    ))
     base = baseline_cycles(events.trace_events(), PAPER_LATENCIES)
     return {
         kb: slowdown_pct(
@@ -66,9 +72,8 @@ def test_snc_capacity_sweep(sweeps, record_figure, benchmark):
     assert mcf[16] > 3 * mcf[128]
 
     # Timed portion: one equake sweep point at reduced scale.
-    benchmark(
-        simulate_benchmark,
-        BY_NAME["equake"],
+    benchmark(simulate, SimulationTask(
+        workload="equake",
+        snc_configs=(SNCSpec(key="64kb"),),
         scale=SimulationScale(warmup_refs=30_000, measure_refs=30_000),
-        snc_configs={"64kb": SNCConfig()},
-    )
+    ))

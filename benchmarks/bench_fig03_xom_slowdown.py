@@ -3,18 +3,25 @@
 The XOM column is the calibration anchor (DESIGN.md §5), so the measured
 values must match the paper essentially exactly — this bench doubles as
 the calibration's self-test.  The timed portion is one full benchmark
-simulation at reduced scale: the cost of adding one workload to the sweep.
+simulation at reduced scale — record pass plus batch pricing: the cost
+of adding one workload to the sweep.
 """
 
 import pytest
 
 from repro.eval.api import (
     QUICK_SCALE,
+    SimulationTask,
     figure3,
     format_figure,
-    simulate_benchmark,
+    price_batch,
+    record,
+    record_task_for,
 )
-from repro.workloads.spec import BY_NAME
+
+
+def simulate(task):
+    return price_batch([task], record(record_task_for(task)))[0]
 
 
 def test_figure3_matches_paper(bench_events, record_figure, benchmark):
@@ -25,4 +32,5 @@ def test_figure3_matches_paper(bench_events, record_figure, benchmark):
         assert series.measured[name] == pytest.approx(paper_value, abs=0.05)
     assert series.measured_avg == pytest.approx(series.paper_avg, abs=0.05)
 
-    benchmark(simulate_benchmark, BY_NAME["gcc"], scale=QUICK_SCALE)
+    benchmark(simulate, SimulationTask(workload="gcc", snc_configs=(),
+                                       scale=QUICK_SCALE))

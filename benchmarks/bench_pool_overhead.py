@@ -1,22 +1,15 @@
-"""Benchmark the persistent worker pool against per-run spawn pools.
+"""Benchmark the persistent worker pool's shipping and lane sharding.
 
-Three questions, answered with wall-clock numbers in ``BENCH_pool.json``:
+Two questions, answered with wall-clock numbers in ``BENCH_pool.json``:
 
-* **Cold vs warm pool** — a multi-figure sweep run as F separate
+* **Shm vs pipe shipping** — a multi-figure sweep run as F separate
   invocations at ``--jobs 4`` (the shape of F CLI runs, or F requests
-  to the future eval service).  ``pool="spawn"`` pays pool creation and
-  a cold :mod:`repro` import per worker *per invocation*;
-  ``pool="persistent"`` pays them once, on the first invocation.  The
-  headline field is ``warm_pool_speedup`` (spawn sweep seconds over
-  warm-persistent sweep seconds); CI asserts it stays ≥ 1.2x.
-* **Shm vs pipe shipping** — the same sweep with shared-memory
-  shipping on (default) and forced off (``REPRO_POOL_NO_SHM=1``):
-  how many recording bytes crossed each transport, and the wall time
-  of each mode.  CI asserts shm moves at least the recording payload
-  bytes out of the pickle pipe.
-* **Recordings stay warm** — all runs share one pre-warmed trace
-  store, so the numbers isolate execution-engine overhead, not
-  recording time.
+  to the serve daemon), with shared-memory shipping on (default) and
+  forced off (``REPRO_POOL_NO_SHM=1``): how many recording bytes
+  crossed each transport, and the wall time of each mode.  CI asserts
+  shm moves at least the recording payload bytes out of the pickle
+  pipe.  All runs share one pre-warmed trace store, so the numbers
+  isolate execution-engine overhead, not recording time.
 * **Lane sharding** — the worst case for recording-level parallelism:
   ONE workload swept across 16 SNC configurations at ``--jobs 4``.
   Unsharded (``REPRO_LANE_SHARDS=off``) that is one batch pass on one
@@ -80,15 +73,15 @@ SHARD_CONFIGS = 16
 # ------------------------------------------------------------------ timing
 
 
-def _sweep(figures, scale: SimulationScale, n_jobs: int, pool: str,
+def _sweep(figures, scale: SimulationScale, n_jobs: int,
            trace_store: TraceStore) -> float:
-    """One multi-figure sweep as len(figures) separate invocations —
-    the per-run pool cost is exactly what's being measured — returning
-    total wall seconds.  No result cache: every run replays for real."""
+    """One multi-figure sweep as len(figures) separate invocations,
+    returning total wall seconds.  No result cache: every run prices
+    for real."""
     started = time.perf_counter()
     for figure in figures:
         run_figures([figure], scale=scale, n_jobs=n_jobs,
-                    backend="replay", trace_store=trace_store, pool=pool)
+                    trace_store=trace_store)
     return time.perf_counter() - started
 
 
@@ -97,43 +90,8 @@ def warm_trace_store(figures, scale: SimulationScale,
     """Record every stream the sweep needs, once, inline — the bench
     then measures pure execution-engine overhead on warm recordings."""
     store = TraceStore(root)
-    run_figures(figures, scale=scale, n_jobs=1, backend="replay",
-                trace_store=store)
+    run_figures(figures, scale=scale, n_jobs=1, trace_store=store)
     return store
-
-
-def time_pool_modes(figures, scale: SimulationScale, n_jobs: int,
-                    trace_store: TraceStore, repeats: int = 3) -> dict:
-    """Spawn-per-run vs persistent cold vs persistent warm, same sweep.
-
-    ``warm_pool_speedup`` is the tentpole number: how much faster the
-    multi-figure sweep runs once the workers already exist and have
-    imported :mod:`repro`.  Spawn and warm repeats are *interleaved*
-    and reduced to medians, so a box-wide load blip hits both modes
-    instead of biasing whichever ran during it."""
-    shutdown_worker_pool()  # the first persistent run is the cold one
-    cold_seconds = _sweep(figures, scale, n_jobs, "persistent",
-                          trace_store)
-    spawn_runs, warm_runs = [], []
-    for _ in range(repeats):
-        spawn_runs.append(
-            _sweep(figures, scale, n_jobs, "spawn", trace_store))
-        warm_runs.append(
-            _sweep(figures, scale, n_jobs, "persistent", trace_store))
-    spawn_seconds = statistics.median(spawn_runs)
-    warm_seconds = statistics.median(warm_runs)
-    return {
-        "figures": list(figures),
-        "n_jobs": n_jobs,
-        "repeats": repeats,
-        "spawn_seconds": round(spawn_seconds, 3),
-        "persistent_cold_seconds": round(cold_seconds, 3),
-        "persistent_warm_seconds": round(warm_seconds, 3),
-        "warm_pool_speedup": round(spawn_seconds / warm_seconds, 3),
-        "cold_start_seconds": round(cold_seconds - warm_seconds, 3),
-        "spawn_runs": [round(s, 3) for s in spawn_runs],
-        "warm_runs": [round(s, 3) for s in warm_runs],
-    }
 
 
 def time_shipping_modes(figures, scale: SimulationScale, n_jobs: int,
@@ -147,8 +105,7 @@ def time_shipping_modes(figures, scale: SimulationScale, n_jobs: int,
     )
     shutdown_worker_pool()
     reset_pool_stats()
-    shm_seconds = _sweep(figures, scale, n_jobs, "persistent",
-                         trace_store)
+    shm_seconds = _sweep(figures, scale, n_jobs, trace_store)
     stats = pool_stats()
     shm = {"seconds": round(shm_seconds, 3),
            "shipments": stats.shm_shipments,
@@ -158,8 +115,7 @@ def time_shipping_modes(figures, scale: SimulationScale, n_jobs: int,
     os.environ["REPRO_POOL_NO_SHM"] = "1"
     try:
         reset_pool_stats()
-        pipe_seconds = _sweep(figures, scale, n_jobs, "persistent",
-                              trace_store)
+        pipe_seconds = _sweep(figures, scale, n_jobs, trace_store)
         stats = pool_stats()
         pipe = {"seconds": round(pipe_seconds, 3),
                 "shipments": stats.pipe_shipments,
@@ -188,13 +144,12 @@ def shard_sweep_tasks(scale: SimulationScale,
     return merge_jobs([job])
 
 
-def _shard_run(tasks, n_jobs: int, pool: str,
+def _shard_run(tasks, n_jobs: int,
                trace_store: TraceStore) -> tuple[float, str]:
     """One uncached run of the merged sweep task; wall seconds plus a
     canonical serialization of the results (the parity fingerprint)."""
     started = time.perf_counter()
-    results = run_tasks(tasks, n_jobs=n_jobs, backend="replay",
-                        trace_store=trace_store, pool=pool)
+    results = run_tasks(tasks, n_jobs=n_jobs, trace_store=trace_store)
     seconds = time.perf_counter() - started
     digest = json.dumps([events_to_dict(r.events) for r in results])
     return seconds, digest
@@ -209,11 +164,12 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     merged task, a single recording.  Unsharded
     (``REPRO_LANE_SHARDS=off``) that batch pass runs on one process no
     matter ``n_jobs``; sharded (the default) the scheduler deals the
-    configuration lanes across the warm pool.  Runs are interleaved and
-    reduced to medians like :func:`time_pool_modes`;
-    ``shard_warm_speedup`` is unsharded-warm over sharded-warm seconds
-    on the same warm pool.  Every mode's results are checked
-    byte-identical before any number is reported.
+    configuration lanes across the warm pool.  Runs are interleaved (so
+    a box-wide load blip hits both modes instead of biasing whichever
+    ran during it) and reduced to medians; ``shard_warm_speedup`` is
+    unsharded-warm over sharded-warm seconds on the same warm pool.
+    Every mode's results are checked byte-identical before any number
+    is reported.
 
     The speedup is compute parallelism, so it needs cores: the payload
     carries ``cpus`` and CI only enforces the 1.5x bar on multi-core
@@ -223,31 +179,24 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     tasks = shard_sweep_tasks(scale, n_configs)
     # Warm the recording inline, then the pool (untimed), so the timed
     # runs measure pure pricing.
-    _, baseline = _shard_run(tasks, 1, "persistent", trace_store)
+    _, baseline = _shard_run(tasks, 1, trace_store)
     shutdown_worker_pool()
-    _shard_run(tasks, n_jobs, "persistent", trace_store)
-    unsharded_runs, sharded_runs, spawn_runs = [], [], []
+    _shard_run(tasks, n_jobs, trace_store)
+    unsharded_runs, sharded_runs = [], []
     try:
         for _ in range(repeats):
             os.environ["REPRO_LANE_SHARDS"] = "off"
-            seconds, digest = _shard_run(tasks, n_jobs, "persistent",
-                                         trace_store)
+            seconds, digest = _shard_run(tasks, n_jobs, trace_store)
             assert digest == baseline, "unsharded warm diverged"
             unsharded_runs.append(seconds)
             os.environ.pop("REPRO_LANE_SHARDS", None)
-            seconds, digest = _shard_run(tasks, n_jobs, "persistent",
-                                         trace_store)
+            seconds, digest = _shard_run(tasks, n_jobs, trace_store)
             assert digest == baseline, "sharded warm diverged"
             sharded_runs.append(seconds)
-            seconds, digest = _shard_run(tasks, n_jobs, "spawn",
-                                         trace_store)
-            assert digest == baseline, "sharded spawn diverged"
-            spawn_runs.append(seconds)
     finally:
         os.environ.pop("REPRO_LANE_SHARDS", None)
     unsharded_seconds = statistics.median(unsharded_runs)
     sharded_seconds = statistics.median(sharded_runs)
-    spawn_seconds = statistics.median(spawn_runs)
     return {
         "workload": SHARD_WORKLOAD,
         "n_configs": n_configs,
@@ -256,44 +205,32 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
         "repeats": repeats,
         "unsharded_warm_seconds": round(unsharded_seconds, 3),
         "sharded_warm_seconds": round(sharded_seconds, 3),
-        "sharded_spawn_seconds": round(spawn_seconds, 3),
         "shard_warm_speedup": round(unsharded_seconds / sharded_seconds,
                                     3),
         "unsharded_runs": [round(s, 3) for s in unsharded_runs],
         "sharded_runs": [round(s, 3) for s in sharded_runs],
-        "spawn_runs": [round(s, 3) for s in spawn_runs],
     }
 
 
 def bench_pool(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
                n_jobs: int = DEFAULT_JOBS, trace_dir: Path = None,
                ) -> dict:
-    """The whole payload: warm the store, time the pool modes, time the
-    shipping modes."""
+    """The whole payload: warm the store, time the shipping modes, time
+    the shard sweep."""
     scale = scale or QUICK_SCALE
     if trace_dir is None:
         with tempfile.TemporaryDirectory(prefix="bench-pool-") as tmp:
             return bench_pool(figures, scale, n_jobs, Path(tmp))
     store = warm_trace_store(figures, scale, trace_dir)
-    modes = time_pool_modes(figures, scale, n_jobs, store)
     shipping = time_shipping_modes(figures, scale, n_jobs, store)
     shard = time_shard_modes(scale, n_jobs, store)
     shutdown_worker_pool()
-    return {**modes, "shipping": shipping, "shard_sweep": shard,
+    return {"figures": list(figures), "n_jobs": n_jobs,
+            "shipping": shipping, "shard_sweep": shard,
             "shard_warm_speedup": shard["shard_warm_speedup"]}
 
 
 # ------------------------------------------------------------------ pytest
-
-
-def test_warm_pool_beats_spawn_per_run(tmp_path):
-    """The acceptance bar: reusing warm workers across a multi-figure
-    --jobs 4 sweep must beat building a spawn pool per run by ≥ 1.2x
-    (the avoided cost is pool creation + per-worker repro imports)."""
-    scale = SimulationScale(warmup_refs=30_000, measure_refs=50_000)
-    result = bench_pool(DEFAULT_FIGURES, scale, DEFAULT_JOBS, tmp_path)
-    assert result["warm_pool_speedup"] >= 1.2
-    assert result["persistent_warm_seconds"] < result["spawn_seconds"]
 
 
 def test_shm_shipping_moves_the_payload_out_of_the_pipe(tmp_path):
@@ -319,10 +256,10 @@ def test_lane_sharding_engages_and_matches(tmp_path):
     scale = SimulationScale(warmup_refs=30_000, measure_refs=50_000)
     store = TraceStore(tmp_path)
     tasks = shard_sweep_tasks(scale)
-    _, baseline = _shard_run(tasks, 1, "persistent", store)
+    _, baseline = _shard_run(tasks, 1, store)
     shutdown_worker_pool()
     reset_pool_stats()
-    _, digest = _shard_run(tasks, DEFAULT_JOBS, "persistent", store)
+    _, digest = _shard_run(tasks, DEFAULT_JOBS, store)
     assert digest == baseline
     assert pool_stats().lane_shards >= DEFAULT_JOBS
     shutdown_worker_pool()
@@ -332,15 +269,12 @@ def test_bench_payload_shape(tmp_path):
     """The JSON fields CI's asserts and the perf ledger rely on."""
     scale = SimulationScale(warmup_refs=30_000, measure_refs=50_000)
     result = bench_pool(("5",), scale, 2, tmp_path)
-    for field in ("spawn_seconds", "persistent_cold_seconds",
-                  "persistent_warm_seconds", "warm_pool_speedup",
-                  "cold_start_seconds", "shipping", "shard_sweep",
-                  "shard_warm_speedup"):
+    for field in ("shipping", "shard_sweep", "shard_warm_speedup"):
         assert field in result
     assert result["shipping"]["shm"]["shipments"] >= 1
     shard = result["shard_sweep"]
     for field in ("unsharded_warm_seconds", "sharded_warm_seconds",
-                  "sharded_spawn_seconds", "shard_warm_speedup"):
+                  "shard_warm_speedup"):
         assert field in shard
     assert shard["n_configs"] == SHARD_CONFIGS
 
@@ -367,10 +301,6 @@ def main() -> int:
           f"{args.refs.warmup_refs}+{args.refs.measure_refs} refs, "
           f"--jobs {args.jobs}, warm trace store")
     result = bench_pool(tuple(args.figures), args.refs, args.jobs)
-    print(f"  spawn-per-run   {result['spawn_seconds']:7.2f}s")
-    print(f"  persistent cold {result['persistent_cold_seconds']:7.2f}s")
-    print(f"  persistent warm {result['persistent_warm_seconds']:7.2f}s "
-          f"({result['warm_pool_speedup']:.2f}x over spawn)")
     shipping = result["shipping"]
     print(f"  shipping: {shipping['shm']['shipments']} shm shipments "
           f"{shipping['shm']['bytes'] / 1e6:.1f} MB "
@@ -383,7 +313,6 @@ def main() -> int:
     print(f"    unsharded warm {shard['unsharded_warm_seconds']:7.2f}s")
     print(f"    sharded warm   {shard['sharded_warm_seconds']:7.2f}s "
           f"({shard['shard_warm_speedup']:.2f}x)")
-    print(f"    sharded spawn  {shard['sharded_spawn_seconds']:7.2f}s")
 
     payload = {
         "benchmark": "pool_overhead",
@@ -394,8 +323,7 @@ def main() -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"warm pool speedup {result['warm_pool_speedup']:.2f}x, "
-          f"shard warm speedup {result['shard_warm_speedup']:.2f}x "
+    print(f"shard warm speedup {result['shard_warm_speedup']:.2f}x "
           f"-> {args.output}")
     return 0
 

@@ -184,7 +184,7 @@ def bench_serve(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
     tasks = sweep_tasks(figures, scale)
     cold = time_cold_cli(figures, scale, n_jobs, reps)
     with start_server_thread(
-        n_jobs=n_jobs, backend="replay",
+        n_jobs=n_jobs,
         cache=ResultCache(work_dir / "cache"),
         trace_store=TraceStore(work_dir / "traces"),
     ) as handle:
@@ -230,7 +230,7 @@ def test_concurrent_replies_identical(tmp_path):
     """Every concurrent subscriber gets byte-identical events."""
     tasks = sweep_tasks(("5",), QUICK_SCALE)
     with start_server_thread(
-        n_jobs=1, backend="replay",
+        n_jobs=1,
         trace_store=TraceStore(tmp_path / "traces"),
     ) as handle:
         warm = time_warm_daemon(handle, tasks, reps=1)

@@ -10,13 +10,9 @@ Scale control: set ``REPRO_BENCH_REFS=warmup:measure`` (e.g. ``30000:50000``)
 to shrink the trace for a quick pass; the default is the full scale used
 for EXPERIMENTS.md.  Set ``REPRO_BENCH_JOBS=N`` (or ``auto`` for one
 worker per CPU) to fan the per-benchmark simulations over N worker
-processes (the same scheduler ``python -m repro.eval --jobs N`` uses),
-``REPRO_BENCH_POOL=persistent|spawn`` to pick how those workers are
-hosted (default persistent — the warm process-wide pool),
-``REPRO_BENCH_CACHE=1`` to reuse the on-disk result cache across
-benchmark sessions, and ``REPRO_BENCH_BACKEND=replay`` to produce the
-events through the record/replay engine (with the on-disk trace store;
-results are byte-identical to the default fused path).
+processes (the same scheduler and warm pool ``python -m repro.eval
+--jobs N`` uses), and ``REPRO_BENCH_CACHE=1`` to reuse the on-disk result
+cache and trace store across benchmark sessions.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ import pathlib
 import pytest
 
 from repro.eval.api import (
-    BACKENDS,
-    POOLS,
     ResultCache,
     SimulationScale,
     TraceStore,
@@ -69,23 +63,11 @@ def bench_events():
                 "REPRO_BENCH_JOBS must be a positive integer or "
                 f"'auto', got {raw_jobs!r}"
             ) from None
-    cache = None
+    cache = trace_store = None
     if os.environ.get("REPRO_BENCH_CACHE") == "1":
-        cache = ResultCache()
-    backend = os.environ.get("REPRO_BENCH_BACKEND", "fused")
-    if backend not in BACKENDS:
-        raise pytest.UsageError(
-            f"REPRO_BENCH_BACKEND must be one of {BACKENDS}, "
-            f"got {backend!r}"
-        )
-    pool = os.environ.get("REPRO_BENCH_POOL", "persistent")
-    if pool not in POOLS:
-        raise pytest.UsageError(
-            f"REPRO_BENCH_POOL must be one of {POOLS}, got {pool!r}"
-        )
-    trace_store = TraceStore() if backend == "replay" else None
-    return run_jobs(jobs, n_jobs=n_jobs, cache=cache, backend=backend,
-                    trace_store=trace_store, pool=pool)
+        cache, trace_store = ResultCache(), TraceStore()
+    return run_jobs(jobs, n_jobs=n_jobs, cache=cache,
+                    trace_store=trace_store)
 
 
 @pytest.fixture(scope="session")

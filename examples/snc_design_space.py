@@ -18,7 +18,7 @@ through the experiment scheduler at a reduced scale, and prints:
   on top of the paper's scheme, sweeping the trusted node-cache size —
   the Gassend et al. piece the paper defers (§2.2).
 
-The figure sweep runs through the replay backend with a trace store, so
+The figure sweep runs with a trace store, so
 ``--jobs N`` exercises the scheduler's lane sharding: three recordings
 fan across the workers and, when workers remain, a recording's
 configuration lanes split further (progress lines on stderr show the
@@ -208,7 +208,7 @@ def main() -> None:
         return
 
     all_events = run_jobs(
-        design_space_jobs(), n_jobs=args.jobs, backend="replay",
+        design_space_jobs(), n_jobs=args.jobs,
         trace_store=TraceStore(args.trace_cache_dir),
         progress=lambda line: print(f"  {line}", file=sys.stderr),
     )

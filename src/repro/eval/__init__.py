@@ -1,139 +1,4 @@
-"""Evaluation harness: job graph, scheduler, cache, figures, reporting."""
+"""Evaluation harness: job graph, scheduler, cache, figures, reporting.
 
-from repro.eval.api import run_figures
-from repro.eval.cache import ResultCache, code_fingerprint, default_cache_dir
-from repro.eval.experiments import (
-    ALL_FIGURES,
-    FIGURE_SCHEMES,
-    FIGURE_SNC_KEYS,
-    FIGURES_BY_ID,
-    FIGURES_NEEDING_ALT_L2,
-    FigureResult,
-    PAPER_LATENCIES,
-    SCENARIO_SCHEMES,
-    SCENARIO_STRATEGIES,
-    SLOW_CRYPTO_LATENCIES,
-    Series,
-    figure3,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure_jobs,
-    plan_jobs,
-    run_all_benchmarks,
-    run_everything,
-    index_scenario_results,
-    run_scenario_tasks,
-    run_scenarios,
-    scenario_jobs,
-    scenario_slowdowns,
-    scenario_snc_specs,
-    scheme_config_key,
-)
-from repro.eval.jobs import (
-    AnyTask,
-    ExperimentJob,
-    ScenarioJob,
-    ScenarioTask,
-    SNCSpec,
-    SimulationTask,
-    SourceSpec,
-    execute_task,
-    merge_jobs,
-    price_batch,
-    merge_scenario_jobs,
-    standard_snc_specs,
-)
-from repro.eval.pipeline import (
-    BenchmarkEvents,
-    QUICK_SCALE,
-    SimulationScale,
-    simulate_benchmark,
-    simulate_scenario,
-    standard_snc_configs,
-)
-from repro.eval.record import Recording, ReplayRequest
-from repro.eval.scheduler import BACKENDS, TaskResult, run_jobs, run_tasks
-from repro.eval.trace_store import TraceStore, default_trace_dir
-from repro.eval.charts import render_averages, render_chart
-from repro.eval.report import (
-    format_figure,
-    format_integrity_table,
-    format_run_stats,
-    format_scenario_table,
-    format_summary,
-    format_trace_stats,
-)
-
-__all__ = [
-    "run_figures",
-    "price_batch",
-    "format_trace_stats",
-    "format_integrity_table",
-    "default_trace_dir",
-    "TraceStore",
-    "ReplayRequest",
-    "Recording",
-    "BACKENDS",
-    "ALL_FIGURES",
-    "AnyTask",
-    "BenchmarkEvents",
-    "ExperimentJob",
-    "FIGURE_SCHEMES",
-    "FIGURE_SNC_KEYS",
-    "FIGURES_BY_ID",
-    "FIGURES_NEEDING_ALT_L2",
-    "FigureResult",
-    "PAPER_LATENCIES",
-    "QUICK_SCALE",
-    "ResultCache",
-    "SCENARIO_SCHEMES",
-    "SCENARIO_STRATEGIES",
-    "SLOW_CRYPTO_LATENCIES",
-    "SNCSpec",
-    "ScenarioJob",
-    "ScenarioTask",
-    "Series",
-    "SimulationScale",
-    "SimulationTask",
-    "SourceSpec",
-    "TaskResult",
-    "code_fingerprint",
-    "default_cache_dir",
-    "execute_task",
-    "figure3",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure_jobs",
-    "format_figure",
-    "format_run_stats",
-    "format_scenario_table",
-    "format_summary",
-    "index_scenario_results",
-    "merge_jobs",
-    "merge_scenario_jobs",
-    "plan_jobs",
-    "render_averages",
-    "render_chart",
-    "run_all_benchmarks",
-    "run_everything",
-    "run_jobs",
-    "run_scenario_tasks",
-    "run_scenarios",
-    "run_tasks",
-    "scenario_jobs",
-    "scenario_slowdowns",
-    "scenario_snc_specs",
-    "scheme_config_key",
-    "simulate_benchmark",
-    "simulate_scenario",
-    "standard_snc_configs",
-    "standard_snc_specs",
-]
+The stable public surface is :mod:`repro.eval.api`; import from there.
+"""

@@ -7,9 +7,8 @@ under one import::
 
 The modules behind this facade (:mod:`~repro.eval.experiments`,
 :mod:`~repro.eval.jobs`, :mod:`~repro.eval.scheduler`, ...) are
-internals: their layout moves when the engine does — per-event replay
-became columnar batch pricing without this surface changing.  What the
-facade promises:
+internals: their layout moves when the engine does.  What the facade
+promises:
 
 **Recording** (phase 1 of the replay engine)
     :func:`record` turns one (source, scale, seed) into a
@@ -17,11 +16,10 @@ facade promises:
     :func:`record_task_for` name the pass a task depends on, and
     :class:`TraceStore` persists the wire form across runs.
 
-**Replay** (phase 2)
-    ``recording.replay(...)`` prices one configuration set through the
-    per-event reference loop; ``recording.replay_batch(...)`` prices
-    many :class:`ReplayRequest` sets in a single event-major pass.
-    :func:`price_batch` is the task-level spelling the scheduler uses.
+**Pricing** (phase 2)
+    ``recording.replay_batch(...)`` prices many :class:`ReplayRequest`
+    sets in a single event-major pass; :func:`price_batch` is the
+    task-level spelling the scheduler uses.
 
 **Running experiments**
     :func:`run_figures` (figures by number), :func:`run_scenarios` /
@@ -29,17 +27,13 @@ facade promises:
     :func:`run_integrity_sweep` (memory integrity),
     :func:`run_all_benchmarks` / :func:`run_everything`, and the
     lower-level :func:`run_tasks` / :func:`run_jobs`.  All take
-    ``backend=`` (one of :data:`BACKENDS`: ``"fused"``, ``"replay"``,
-    ``"replay-perevent"``) plus ``cache=`` / ``trace_store=`` and
-    produce byte-identical events either way.
+    ``n_jobs=``, ``cache=`` and ``trace_store=``.
 
 **The execution engine**
-    Parallel runs (``n_jobs > 1``) are hosted by one of :data:`POOLS`:
-    ``pool="persistent"`` (default) reuses the process-wide warm
+    Parallel runs (``n_jobs > 1``) reuse the process-wide warm
     :class:`WorkerPool` (:func:`get_worker_pool` /
     :func:`shutdown_worker_pool`) with shared-memory recording
-    shipping; ``pool="spawn"`` builds a fresh pool per call.
-    :func:`pool_stats` exposes the engine's counters and
+    shipping.  :func:`pool_stats` exposes the engine's counters and
     :func:`format_pool_stats` renders them as the runner's summary
     line.  When recordings alone cannot fill the workers, batch passes
     are lane-sharded across them (:func:`plan_lane_shards` plans the
@@ -140,8 +134,6 @@ from repro.eval.pipeline import (
     BenchmarkEvents,
     QUICK_SCALE,
     SimulationScale,
-    simulate_benchmark,
-    simulate_scenario,
     standard_snc_configs,
 )
 from repro.eval.pool import (
@@ -158,7 +150,6 @@ from repro.eval.record import (
     Recording,
     ReplayRequest,
     record_source,
-    record_source_reference,
 )
 from repro.eval.report import (
     format_client_stats,
@@ -172,8 +163,6 @@ from repro.eval.report import (
     format_trace_stats,
 )
 from repro.eval.scheduler import (
-    BACKENDS,
-    POOLS,
     TaskResult,
     auto_jobs,
     plan_lane_shards,
@@ -193,14 +182,13 @@ from repro.eval.runner import parse_scale
 def run_figures(figure_ids=None, *, scale: SimulationScale | None = None,
                 seed: int = 1, n_jobs: int = 1,
                 cache: ResultCache | None = None,
-                progress=None, backend: str = "replay",
+                progress=None,
                 trace_store: TraceStore | None = None,
-                pool: str = "persistent",
                 ) -> list[FigureResult]:
     """Simulate and price the selected figures (default: all seven).
 
     The one-call spelling of what ``python -m repro.eval`` does:
-    declare the figures' jobs, run them through ``backend``, and return
+    declare the figures' jobs, record and price them, and return
     one :class:`FigureResult` per requested figure, in request order.
     ``figure_ids`` accepts ``"figure5"`` / ``"5"`` / ``5`` spellings.
     """
@@ -220,15 +208,13 @@ def run_figures(figure_ids=None, *, scale: SimulationScale | None = None,
             names.append(name)
     events = run_jobs(plan_jobs(names, scale=scale, seed=seed),
                       n_jobs=n_jobs, cache=cache, progress=progress,
-                      backend=backend, trace_store=trace_store,
-                      pool=pool)
+                      trace_store=trace_store)
     return [FIGURES_BY_ID[name](events) for name in names]
 
 
 __all__ = [
     "ALL_FIGURES",
     "AnyTask",
-    "BACKENDS",
     "BenchmarkEvents",
     "DEFAULT_PORT",
     "EvalClient",
@@ -241,7 +227,6 @@ __all__ = [
     "INTEGRITY_WORKLOADS",
     "IntegrityModelSpec",
     "PAPER_LATENCIES",
-    "POOLS",
     "PROTOCOL_VERSION",
     "PoolStats",
     "QUICK_SCALE",
@@ -303,7 +288,6 @@ __all__ = [
     "price_batch",
     "record",
     "record_source",
-    "record_source_reference",
     "record_task_for",
     "reset_pool_stats",
     "run_all_benchmarks",
@@ -319,8 +303,6 @@ __all__ = [
     "scenario_snc_specs",
     "scheme_config_key",
     "shutdown_worker_pool",
-    "simulate_benchmark",
-    "simulate_scenario",
     "standard_snc_configs",
     "standard_snc_specs",
     "start_server_thread",

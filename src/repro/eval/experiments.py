@@ -124,21 +124,18 @@ def run_all_benchmarks(scale: SimulationScale | None = None,
                        seed: int = 1, n_jobs: int = 1,
                        cache: ResultCache | None = None,
                        progress: Progress | None = None,
-                       backend: str = "fused",
                        trace_store: TraceStore | None = None,
-                       pool: str = "persistent",
                        ) -> dict[str, BenchmarkEvents]:
     """Simulate all 11 benchmarks once; every figure prices these events.
 
     Declares the union of every figure's jobs and hands them to the
-    scheduler, so callers get parallelism (``n_jobs``/``pool``), result
-    caching and the record/replay backend (``backend``/``trace_store``)
-    for free while ``n_jobs=1`` stays bit-identical to the historical
-    serial loop.
+    scheduler, so callers get parallelism (``n_jobs``), result caching
+    (``cache``) and persisted recordings (``trace_store``) for free;
+    every job count produces identical events.
     """
     return run_jobs(plan_jobs(scale=scale, seed=seed), n_jobs=n_jobs,
-                    cache=cache, progress=progress, backend=backend,
-                    trace_store=trace_store, pool=pool)
+                    cache=cache, progress=progress,
+                    trace_store=trace_store)
 
 
 @dataclass
@@ -434,9 +431,7 @@ def scenario_jobs(workloads: Sequence[str], quantum: int = 2000,
 def run_scenario_tasks(jobs: list[ScenarioJob], n_jobs: int = 1,
                        cache: ResultCache | None = None,
                        progress: Progress | None = None,
-                       backend: str = "fused",
-                       trace_store: TraceStore | None = None,
-                       pool: str = "persistent") -> list:
+                       trace_store: TraceStore | None = None) -> list:
     """Merge and schedule scenario jobs, returning the raw
     :class:`~repro.eval.scheduler.TaskResult` list (for run stats);
     :func:`run_scenarios` is the indexed convenience wrapper."""
@@ -449,8 +444,7 @@ def run_scenario_tasks(jobs: list[ScenarioJob], n_jobs: int = 1,
             "ambiguous (use merge_scenario_jobs + run_tasks directly)"
         )
     return run_tasks(tasks, n_jobs=n_jobs, cache=cache,
-                     progress=progress, backend=backend,
-                     trace_store=trace_store, pool=pool)
+                     progress=progress, trace_store=trace_store)
 
 
 def index_scenario_results(results: list,
@@ -466,17 +460,14 @@ def index_scenario_results(results: list,
 def run_scenarios(jobs: list[ScenarioJob], n_jobs: int = 1,
                   cache: ResultCache | None = None,
                   progress: Progress | None = None,
-                  backend: str = "fused",
                   trace_store: TraceStore | None = None,
-                  pool: str = "persistent",
                   ) -> dict[tuple[str, str], BenchmarkEvents]:
     """Merge, schedule and index scenario jobs: the scenario analogue of
     :func:`run_all_benchmarks`, returning events keyed by
     ``(source label, strategy)``."""
     return index_scenario_results(
         run_scenario_tasks(jobs, n_jobs=n_jobs, cache=cache,
-                           progress=progress, backend=backend,
-                           trace_store=trace_store, pool=pool)
+                           progress=progress, trace_store=trace_store)
     )
 
 
@@ -569,16 +560,14 @@ def run_integrity_sweep(workloads: Sequence[str] = INTEGRITY_WORKLOADS,
                         seed: int = 1, n_jobs: int = 1,
                         cache: ResultCache | None = None,
                         progress: Progress | None = None,
-                        backend: str = "fused",
                         trace_store: TraceStore | None = None,
-                        pool: str = "persistent",
                         ) -> dict[str, BenchmarkEvents]:
     """Declare, schedule and index the integrity experiment's events."""
     return run_jobs(
         integrity_jobs(workloads, node_cache_sizes, scale=scale,
                        seed=seed),
-        n_jobs=n_jobs, cache=cache, progress=progress, backend=backend,
-        trace_store=trace_store, pool=pool,
+        n_jobs=n_jobs, cache=cache, progress=progress,
+        trace_store=trace_store,
     )
 
 
@@ -611,12 +600,9 @@ FIGURES_BY_ID = {figure.__name__: figure for figure in ALL_FIGURES}
 def run_everything(scale: SimulationScale | None = None,
                    seed: int = 1, n_jobs: int = 1,
                    cache: ResultCache | None = None,
-                   backend: str = "fused",
                    trace_store: TraceStore | None = None,
-                   pool: str = "persistent",
                    ) -> list[FigureResult]:
     """Simulate once, regenerate every figure."""
     events = run_all_benchmarks(scale=scale, seed=seed, n_jobs=n_jobs,
-                                cache=cache, backend=backend,
-                                trace_store=trace_store, pool=pool)
+                                cache=cache, trace_store=trace_store)
     return [figure(events) for figure in ALL_FIGURES]

@@ -26,14 +26,13 @@ data:
   with its quantum), a switch strategy picks FLUSH or TAG, and
   :func:`merge_scenario_jobs` unions SNC requirements exactly like
   :func:`merge_jobs`.  The scheduler and result cache treat both task
-  kinds identically (:func:`execute_task` dispatches).
-* :class:`RecordTask` — the replay backend's phase 1: the
-  configuration-independent record pass a task's replay depends on
-  (:func:`record_task_for` derives it; :func:`execute_record` runs it;
-  :func:`execute_task_replay` is the phase 2 twin of
-  :func:`execute_task`).  Tasks that differ only in SNC geometry,
-  scheme, integrity, switch strategy or the alternate-L2 flag map to
-  the *same* record task — that sharing is the engine's speedup.
+  kinds identically.
+* :class:`RecordTask` — phase 1: the configuration-independent record
+  pass a task's pricing depends on (:func:`record_task_for` derives it;
+  :func:`execute_record` runs it; :func:`price_batch` is phase 2).
+  Tasks that differ only in SNC geometry, scheme, integrity, switch
+  strategy or the alternate-L2 flag map to the *same* record task —
+  that sharing is the engine's speedup.
 
 All are frozen, hashable and picklable, so tasks can fan out across
 processes (:mod:`repro.eval.scheduler`) and key an on-disk result store
@@ -62,8 +61,6 @@ from repro.eval.pipeline import (
     L2_BIG_LINES,
     BenchmarkEvents,
     SimulationScale,
-    simulate_benchmark,
-    simulate_scenario,
     standard_snc_configs,
 )
 from repro.eval.record import (
@@ -518,7 +515,7 @@ AnyTask = SimulationTask | ScenarioTask
 
 @dataclass(frozen=True)
 class RecordTask:
-    """Phase 1 of the replay backend: one (source, scale, seed) record
+    """Phase 1 of the engine: one (source, scale, seed) record
     pass whose event stream any number of replay tasks consume.
 
     Derived from simulation/scenario tasks by :func:`record_task_for`;
@@ -629,22 +626,6 @@ def replay_request_for(task: AnyTask,
     return ReplayRequest(alt_l2=task.alt_l2, **configs)
 
 
-def execute_task_replay(task: AnyTask,
-                        recording: Recording) -> BenchmarkEvents:
-    """Run one task as phase 2 through the per-event reference path:
-    replay ``recording`` through the task's SNC/integrity
-    configurations, one at a time.  Events are identical to
-    :func:`execute_task`'s — the differential suite pins it."""
-    request = replay_request_for(task)
-    return recording.replay(
-        request.snc_configs, request.snc_schemes,
-        strategy=request.strategy,
-        alt_l2=request.alt_l2,
-        integrity_configs=request.integrity_configs,
-        integrity_providers=request.integrity_providers,
-    )
-
-
 def price_batch(tasks: Sequence[AnyTask],
                 recording: Recording,
                 lanes: Sequence[Sequence[Lane] | None] | None = None,
@@ -653,7 +634,7 @@ def price_batch(tasks: Sequence[AnyTask],
     the union of every task's state machines consumes the shared
     columns event-major (:meth:`~repro.eval.record.Recording.
     replay_batch`), and each task gets its events back in order —
-    byte-identical to calling :func:`execute_task_replay` per task.
+    identical to pricing each task on its own.
 
     ``lanes`` (parallel to ``tasks``) restricts each task to a lane
     subset — one shard of a lane-sharded pass; a ``None`` entry keeps
@@ -733,9 +714,8 @@ def merge_scenario_jobs(jobs: list[ScenarioJob]) -> list[ScenarioTask]:
 
 def _task_configs(task: AnyTask,
                   lanes: Sequence[Lane] | None = None) -> dict:
-    """A task's spec tuples as the keyword mapping every simulation and
-    replay entry point takes — one place, so the fused and replay
-    dispatchers cannot diverge when a task axis is added.  ``lanes``
+    """A task's spec tuples as the keyword mapping a
+    :class:`~repro.eval.record.ReplayRequest` takes.  ``lanes``
     keeps only the named subset of the task's lanes (a shard of a
     sharded batch pass); filtering preserves the canonical key-sorted
     spec order, so a shard's dicts iterate exactly like the matching
@@ -758,30 +738,6 @@ def _task_configs(task: AnyTask,
         "integrity_providers": {spec.key: spec.provider
                                 for spec in integrity_specs},
     }
-
-
-def execute_task(task: AnyTask) -> BenchmarkEvents:
-    """Run one task's trace simulation (picklable: pool workers call it).
-
-    Dispatches on the task kind: figure tasks run the single-benchmark
-    fast path, scenario tasks build their workload source and run the
-    switch-aware scenario loop."""
-    configs = _task_configs(task)
-    if isinstance(task, ScenarioTask):
-        return simulate_scenario(
-            task.source.build(),
-            scale=task.scale,
-            switch_strategy=SwitchStrategy(task.strategy),
-            seed=task.seed,
-            **configs,
-        )
-    return simulate_benchmark(
-        BY_NAME[task.workload],
-        scale=task.scale,
-        seed=task.seed,
-        simulate_alt_l2=task.alt_l2,
-        **configs,
-    )
 
 
 def task_to_wire(task: AnyTask) -> dict:

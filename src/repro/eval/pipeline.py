@@ -1,32 +1,26 @@
-"""The trace-driven simulation pipeline behind every figure and scenario.
+"""Shared vocabulary of the trace-driven simulation behind every figure.
 
-One pass per workload source drives:
+Each workload source drives one pass through:
 
 * the baseline 256KB 4-way L2 (2048 lines) — its miss/writeback stream is
   what the paper's mechanisms act on;
 * the Figure 8 alternate 384KB 6-way L2 (3072 lines), fed the same
-  references — simulated only when a requesting job prices it
-  (``simulate_alt_l2``);
+  references — only its aggregate miss counts are kept;
 * one SNC timing state machine per requested configuration, fed the
   baseline L2's miss stream.  Each state machine is built by its
   protection scheme's registry spec (:mod:`repro.secure.schemes`), so
-  scheme variants like ``otp_split`` ride the same pipeline.
+  scheme variants like ``otp_split`` ride the same pipeline — plus one
+  byte-free integrity model per requested integrity configuration.
 
-Two entry points share the methodology: :func:`simulate_benchmark` is the
-single-benchmark figure path, and :func:`simulate_scenario` runs any
-:class:`~repro.workloads.sources.WorkloadSource` — including the §4.3
-multi-task interleaver, whose explicit switch events it routes to every
-SNC state machine under a chosen
-:class:`~repro.secure.snc_policy.SwitchStrategy`.  A single-task scenario
-reproduces the figure path's events exactly (the tests pin this).
-
-These fused single-pass loops are the evaluation's **reference
-implementation** (``backend="fused"``).  The production path is the
-record/replay engine in :mod:`repro.eval.record`, which runs the
-workload + L2 part of this pass once per (source, scale, seed) and
-replays the compacted event stream through any configuration set,
-producing identical :class:`BenchmarkEvents` — the differential suite
-and the golden-master fixtures pin the two against each other.
+The pass runs in two phases: :func:`repro.eval.record.record_source`
+runs the workload and the L2s once per (source, scale, seed) and keeps
+the compacted event stream, and :func:`repro.timing.batch.
+replay_events_batch` prices it through every configuration in one
+event-major pass.  This module holds what both phases and their callers
+share: the trace scale, the cache geometries, the
+:class:`BenchmarkEvents` result, and the builders for the per-config
+state machines.  The slow per-reference loop both phases are checked
+against lives in the test suite (``tests/eval/oracle.py``).
 
 Counters reset at the warmup boundary while all cache/SNC *state* stays
 warm, mirroring the paper's fast-forward methodology (10B instructions of
@@ -40,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.memory.cache import TagOnlyCache
 from repro.secure.integrity import (
     IntegrityConfig,
     IntegrityEventCounts,
@@ -49,13 +42,7 @@ from repro.secure.integrity import (
 from repro.secure.schemes import get_scheme
 from repro.secure.snc import SNCConfig, SNCPolicy
 from repro.secure.snc_policy import SwitchStrategy
-from repro.timing.model import (
-    SNCEventCounts,
-    TraceEvents,
-    calibrate_compute_cycles,
-)
-from repro.workloads.sources import SingleBenchmark, Switch, WorkloadSource
-from repro.workloads.spec import BenchmarkModel
+from repro.timing.model import SNCEventCounts, TraceEvents
 
 #: The paper's cache geometries, in 128-byte lines.
 L2_BASE_LINES, L2_BASE_ASSOC = 2048, 4  # 256KB 4-way
@@ -214,272 +201,3 @@ def _build_integrity_models(
             )
         models[name] = spec.build_timing_model(config)
     return models
-
-
-def simulate_benchmark(bench: BenchmarkModel,
-                       scale: SimulationScale | None = None,
-                       snc_configs: dict[str, SNCConfig] | None = None,
-                       seed: int = 1,
-                       snc_schemes: dict[str, str] | None = None,
-                       simulate_alt_l2: bool = True,
-                       integrity_configs: dict[str, IntegrityConfig]
-                       | None = None,
-                       integrity_providers: dict[str, str] | None = None,
-                       l2_lines: int = L2_BASE_LINES,
-                       l2_assoc: int = L2_BASE_ASSOC,
-                       ) -> BenchmarkEvents:
-    """Run one benchmark through the L2s and the given SNC configurations.
-
-    ``snc_configs=None`` means the five standard configurations; an empty
-    mapping means *no* SNC simulation (a caller pricing only the XOM path
-    should not pay for five SNC timing simulators).  ``snc_schemes`` maps
-    a config key to the registered scheme whose timing state machine
-    simulates it (default ``"otp"``).  ``simulate_alt_l2=False`` skips the
-    Figure 8 alternate L2 entirely — callers whose figures never price it
-    should not pay for a second cache model.  ``integrity_configs`` (with
-    ``integrity_providers`` naming each config's registered integrity
-    spec) adds byte-free integrity models to the same pass: a load or
-    allocate miss verifies the line, a dirty eviction updates it — the
-    same points the functional engines call the provider.  The default is
-    none, as in the paper.
-    """
-    scale = scale or SimulationScale()
-    if snc_configs is None:
-        snc_configs = standard_snc_configs()
-    # The benchmark is the single-task WorkloadSource: same references,
-    # no switch events — the fused loop below never needs to check.
-    generator = SingleBenchmark(bench).stream(seed)
-    l2 = TagOnlyCache(l2_lines, l2_assoc)
-    sims = _build_sims(snc_configs, snc_schemes)
-    integrity_models = _build_integrity_models(
-        integrity_configs, integrity_providers
-    )
-    events = BenchmarkEvents(bench.name, bench.xom_slowdown_pct)
-
-    # The hot loop runs total_refs times per figure job; bound methods and
-    # counters are hoisted into locals to keep per-ref attribute lookups
-    # out of it (benchmarks/bench_trace_throughput.py tracks the effect).
-    measuring = False
-    warmup = scale.warmup_refs
-    sims_values = list(sims.values())
-    models_values = list(integrity_models.values())
-    read_miss_fns = [sim.read_miss for sim in sims_values]
-    writeback_fns = [sim.writeback for sim in sims_values]
-    verify_fns = [model.verify for model in models_values]
-    update_fns = [model.update for model in models_values]
-    next_ref = generator.__next__
-    l2_access = l2.access
-    big_access = None
-    if simulate_alt_l2:
-        big_access = TagOnlyCache(L2_BIG_LINES, L2_BIG_ASSOC).access
-    read_misses = allocate_misses = writebacks = 0
-    read_misses_big = allocate_misses_big = 0
-
-    for position in range(scale.total_refs):
-        if position == warmup:
-            measuring = True
-        line, is_write = next_ref()
-
-        hit, victim = l2_access(line, is_write)
-        if not hit:
-            if measuring:
-                if is_write:
-                    allocate_misses += 1
-                else:
-                    read_misses += 1
-            for read_miss in read_miss_fns:
-                read_miss(line, critical=not is_write)
-            for verify in verify_fns:
-                verify(line, critical=not is_write)
-        if victim is not None:
-            if measuring:
-                writebacks += 1
-            for writeback in writeback_fns:
-                writeback(victim)
-            for update in update_fns:
-                update(victim)
-        if not measuring and position + 1 == warmup:
-            for sim in sims_values:
-                sim.reset_counts()
-            for model in models_values:
-                model.reset_counts()
-
-        if big_access is not None:
-            big_hit, _ = big_access(line, is_write)
-            if not big_hit and measuring:
-                if is_write:
-                    allocate_misses_big += 1
-                else:
-                    read_misses_big += 1
-
-    events.read_misses = read_misses
-    events.allocate_misses = allocate_misses
-    events.writebacks = writebacks
-    if simulate_alt_l2:
-        events.read_misses_big_l2 = read_misses_big
-        events.allocate_misses_big_l2 = allocate_misses_big
-    else:
-        events.read_misses_big_l2 = None
-        events.allocate_misses_big_l2 = None
-    events.snc = {name: sim.counts for name, sim in sims.items()}
-    events.integrity = {
-        name: model.counts for name, model in integrity_models.items()
-    }
-    if events.read_misses == 0:
-        raise ConfigurationError(
-            f"{bench.name}: the measurement window saw no load misses — "
-            "the trace scale is too small to get past the benchmark's "
-            "initialization phase (use at least the QUICK_SCALE lengths)"
-        )
-    events.compute_cycles = calibrate_compute_cycles(
-        events.read_misses, bench.xom_slowdown_pct
-    )
-    return events
-
-
-def simulate_scenario(source: WorkloadSource,
-                      scale: SimulationScale | None = None,
-                      snc_configs: dict[str, SNCConfig] | None = None,
-                      snc_schemes: dict[str, str] | None = None,
-                      switch_strategy: SwitchStrategy = SwitchStrategy.TAG,
-                      seed: int = 1,
-                      integrity_configs: dict[str, IntegrityConfig]
-                      | None = None,
-                      integrity_providers: dict[str, str] | None = None,
-                      l2_lines: int = L2_BASE_LINES,
-                      l2_assoc: int = L2_BASE_ASSOC,
-                      ) -> BenchmarkEvents:
-    """Run any workload source — including multi-task — through the L2
-    and the given SNC configurations under one §4.3 switch strategy.
-
-    The reference handling is the same methodology as
-    :func:`simulate_benchmark` (same warmup reset, same counters, same
-    per-config state machines); what this entry point adds is switch
-    events — routed to every SNC state machine, which applies the
-    strategy through its policy cores — and per-task compute
-    calibration: each task's compute cycles are solved from *its*
-    measured load misses and *its* Figure 3 anchor, then summed, so a
-    single-task scenario degenerates to the figure path's events
-    exactly.  Scenarios never simulate the Figure 8 alternate L2.
-    Integrity models (``integrity_configs``/``integrity_providers``,
-    same contract as :func:`simulate_benchmark`) ride along untouched by
-    switches — integrity metadata is keyed by line, not by task.
-    """
-    scale = scale or SimulationScale()
-    if snc_configs is None:
-        snc_configs = standard_snc_configs()
-    sims = _build_sims(snc_configs, snc_schemes, switch_strategy)
-    integrity_models = _build_integrity_models(
-        integrity_configs, integrity_providers
-    )
-    tasks = source.tasks
-    first_task = tasks[0].xom_id
-    for sim in sims.values():
-        sim.begin_task(first_task)
-    l2 = TagOnlyCache(l2_lines, l2_assoc)
-    events = BenchmarkEvents(source.name, 0.0)
-
-    measuring = False
-    warmup = scale.warmup_refs
-    total = scale.total_refs
-    sims_values = list(sims.values())
-    models_values = list(integrity_models.values())
-    read_miss_fns = [sim.read_miss for sim in sims_values]
-    writeback_fns = [sim.writeback for sim in sims_values]
-    verify_fns = [model.verify for model in models_values]
-    update_fns = [model.update for model in models_values]
-    switch_fns = [sim.switch_task for sim in sims_values]
-    l2_access = l2.access
-    read_misses = allocate_misses = writebacks = 0
-    task_read_misses = {task.xom_id: 0 for task in tasks}
-    # Which task fetched each L2-resident line: dirty evictions must be
-    # written back under the *owner's* tag (in hardware the tag travels
-    # with the line), not whichever task happens to be scheduled when
-    # the shared L2 evicts it.
-    line_owner: dict[int, int] = {}
-    current_task = first_task
-    position = 0
-
-    for item in source.stream(seed):
-        if type(item) is Switch:
-            # Switches always reach the state machines (they move warm
-            # state); their counters reset at the warmup boundary with
-            # everything else.
-            next_task = item.next_task
-            for switch_task in switch_fns:
-                switch_task(next_task)
-            current_task = next_task
-            continue
-        if position == warmup:
-            measuring = True
-        line, is_write = item
-
-        hit, victim = l2_access(line, is_write)
-        if not hit:
-            line_owner[line] = current_task
-            if measuring:
-                if is_write:
-                    allocate_misses += 1
-                else:
-                    read_misses += 1
-                    task_read_misses[current_task] += 1
-            for read_miss in read_miss_fns:
-                read_miss(line, critical=not is_write)
-            for verify in verify_fns:
-                verify(line, critical=not is_write)
-        if victim is not None:
-            owner = line_owner.pop(victim, current_task)
-            if measuring:
-                writebacks += 1
-            for writeback in writeback_fns:
-                writeback(victim, owner)
-            for update in update_fns:
-                update(victim)
-        if not measuring and position + 1 == warmup:
-            for sim in sims_values:
-                sim.reset_counts()
-            for model in models_values:
-                model.reset_counts()
-        position += 1
-        if position >= total:
-            break
-
-    events.read_misses = read_misses
-    events.allocate_misses = allocate_misses
-    events.writebacks = writebacks
-    events.read_misses_big_l2 = None
-    events.allocate_misses_big_l2 = None
-    events.snc = {name: sim.counts for name, sim in sims.items()}
-    events.integrity = {
-        name: model.counts for name, model in integrity_models.items()
-    }
-    if events.read_misses == 0:
-        raise ConfigurationError(
-            f"{source.name}: the measurement window saw no load misses — "
-            "the scenario scale is too small to get past the tasks' "
-            "initialization phases (use at least the QUICK_SCALE lengths)"
-        )
-    # Per-task calibration: each task's compute weight from its own
-    # Figure 3 anchor and its own measured misses; the scenario's compute
-    # cycles are the sum.  The recorded target is the miss-weighted mean
-    # (informational; pricing only reads compute_cycles).
-    compute = 0
-    for task in tasks:
-        misses = task_read_misses[task.xom_id]
-        if misses:
-            compute += calibrate_compute_cycles(
-                misses, task.xom_slowdown_pct
-            )
-    events.compute_cycles = compute
-    if len(tasks) == 1:
-        events.xom_slowdown_target = tasks[0].xom_slowdown_pct
-    else:
-        events.xom_slowdown_target = sum(
-            task.xom_slowdown_pct * task_read_misses[task.xom_id]
-            for task in tasks
-        ) / events.read_misses
-    events.task_read_misses = {
-        f"{task.xom_id}:{task.label}": task_read_misses[task.xom_id]
-        for task in tasks
-    }
-    return events

@@ -1,10 +1,10 @@
 """Persistent warm worker pool with zero-copy recording shipping.
 
-The spawn-context ``multiprocessing.Pool`` the scheduler historically
-built for every :func:`~repro.eval.scheduler.run_tasks` call is pure
-critical-path overhead: each call pays N interpreter starts, each worker
-cold-imports :mod:`repro`, and every batch group ships its recording as
-pickled gzip bytes that every worker re-decodes.  The paper's own thesis
+A ``multiprocessing.Pool`` built for every
+:func:`~repro.eval.scheduler.run_tasks` call would be pure critical-path
+overhead: each call would pay N interpreter starts, each worker would
+cold-import :mod:`repro`, and every batch group would ship its recording
+as pickled gzip bytes that every worker re-decodes.  The paper's own thesis
 is that security gets cheap once the expensive work moves off the
 critical path and stays warm — this module applies the same discipline
 to the evaluation engine:
@@ -41,9 +41,8 @@ to the evaluation engine:
 Every interesting event is counted in a process-wide :class:`PoolStats`
 (:func:`pool_stats`); the runner prints it via
 :func:`repro.eval.report.format_pool_stats`.  The pool is an internal
-engine — callers go through ``run_tasks(pool="persistent")`` — but the
-service daemon and distributed backend on the ROADMAP build directly on
-these pieces.
+engine — callers go through ``run_tasks(n_jobs=N)`` — and the serve
+daemon builds directly on these pieces.
 """
 
 from __future__ import annotations
@@ -184,12 +183,12 @@ def remember_recording(key: str, recording: Recording) -> None:
 def resolve_recording_ref(ref: dict) -> Recording:
     """A shipped recording reference back to the decoded object.
 
-    Reference forms (built by :meth:`WorkerPool.ship_recording` or the
-    spawn path's payload refs):
+    Reference forms (built by :meth:`WorkerPool.ship_recording`):
 
     * ``{"key", "shm", "size"}`` — map the named shared-memory segment
       and decode the raw columns straight out of it;
-    * ``{"key", "payload"}`` — parse the gzip wire payload.
+    * ``{"key", "payload"}`` — parse the gzip wire payload (the pipe
+      fallback when shared memory is unavailable).
 
     Either way the decoded recording lands in the per-process LRU, so a
     recording fanned out K times decodes once per worker.
@@ -581,10 +580,10 @@ class WorkerPool:
 
         ``worker_fn`` must be an importable module-level function (it is
         shipped by name and resolved once per worker); each result tuple
-        is handed to ``on_result(*result)`` as it completes, exactly
-        like the spawn path.  A worker that dies mid-task is respawned
-        and its task retried once inline; a task that *raises* in a
-        worker fails the run (after draining, so the pool stays usable).
+        is handed to ``on_result(*result)`` as it completes.  A worker
+        that dies mid-task is respawned and its task retried once
+        inline; a task that *raises* in a worker fails the run (after
+        draining, so the pool stays usable).
         Concurrent calls from different threads serialize on the pool's
         run lock — each run owns every worker pipe exclusively.
         """

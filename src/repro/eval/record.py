@@ -1,10 +1,9 @@
 """Phase 1 + phase 2 of the record/replay trace engine.
 
-The fused pipeline (:mod:`repro.eval.pipeline`) regenerates the workload
-stream and re-simulates the L2 for every simulation task, yet that work is
-*configuration-independent*: every SNC geometry, protection scheme,
-integrity model and §4.3 switch strategy consumes the exact same L2
-miss/writeback stream.  This module splits the pass in two:
+Every SNC geometry, protection scheme, integrity model and §4.3 switch
+strategy consumes the exact same L2 miss/writeback stream, so the
+workload + L2 part of a simulation is *configuration-independent*.  This
+module splits the pass in two:
 
 * :func:`record_source` — run the workload source and the L2(s) **once**
   per (source, scale, seed, L2 geometry) and keep only the compacted
@@ -12,38 +11,28 @@ miss/writeback stream.  This module splits the pass in two:
   switches, and the warmup boundary, plus the measured aggregate counters.
   The result is a :class:`Recording`, persisted by
   :mod:`repro.eval.trace_store`.
-* :meth:`Recording.replay` / :meth:`Recording.replay_batch` — phase 2:
-  feed the recording through any set of SNC timing state machines and
-  integrity models.  ``replay`` walks the events once per configuration
-  through :meth:`~repro.timing.model.SNCTimingSim.replay_events` (the
-  per-event reference path); ``replay_batch`` prices many configuration
-  sets in **one** event-major pass
-  (:func:`repro.timing.batch.replay_events_batch`).  Either way the
-  resulting :class:`~repro.eval.pipeline.BenchmarkEvents` are
-  **identical** to the fused path's, field for field
-  (``tests/eval/test_replay_differential.py`` pins this; the paper
-  tables come out byte-identical from all backends).
+* :meth:`Recording.replay_batch` — phase 2: price many configuration
+  sets in **one** event-major pass over the recording
+  (:func:`repro.timing.batch.replay_events_batch`) and assemble one
+  :class:`~repro.eval.pipeline.BenchmarkEvents` per set.
+
+Both phases are checked against the per-reference oracle in
+``tests/eval/oracle.py`` (one loop over the scalar stream driving the L2
+and every state machine directly): the recorder column for column and
+byte for byte on the wire, the pricer field for field.
 
 Event vocabulary: parallel typed columns ``kinds`` / ``lines`` / ``aux``
 (:mod:`array`), one entry per event, using the ``EVENT_*`` constants from
 :mod:`repro.timing.model`.  The stream covers warmup too (it warms the
 SNC/integrity state); :data:`~repro.timing.model.EVENT_RESET` marks where
-every counter zeroes while state stays warm, mirroring the fused loops'
-boundary handling exactly.
-
-The free functions :func:`replay_benchmark` and :func:`replay_scenario`
-are deprecated thin wrappers over the :class:`Recording` methods, kept
-for one release.
+every counter zeroes while state stays warm.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from repro.errors import ConfigurationError
 from repro.memory.cache import TagOnlyCache
@@ -70,10 +59,6 @@ from repro.eval.pipeline import (
     _build_sims,
 )
 from repro.workloads.sources import Switch, WorkloadSource
-
-#: One recorded event, as the compatibility view materializes it:
-#: ``(kind, line_index, aux)``.
-Event = tuple[int, int, int]
 
 #: In-memory column typecodes: value-exact (the wire format narrows to
 #: u8/u32/u16 and rejects what doesn't fit; see
@@ -122,10 +107,9 @@ class Recording:
     The stream lives in three parallel typed columns — ``kinds``,
     ``lines``, ``aux`` (:mod:`array`; entry *i* of each is event *i*) —
     covering warmup too (warmup events warm SNC and integrity state);
-    the aggregate counters cover only the measurement window, exactly as
-    the fused loops count them.  The alternate-L2 counters are ``None``
-    when the recording skipped the Figure 8 cache (non-benchmark sources
-    never record it)."""
+    the aggregate counters cover only the measurement window.  The
+    alternate-L2 counters are ``None`` when the recording skipped the
+    Figure 8 cache (non-benchmark sources never record it)."""
 
     name: str
     tasks: tuple[RecordedTask, ...]
@@ -152,60 +136,13 @@ class Recording:
     def event_count(self) -> int:
         return len(self.kinds)
 
-    def iter_events(self):
-        """The per-event view of the columns: ``(kind, line, aux)``
-        triples in stream order — what the per-event reference loops
-        consume."""
-        return zip(self.kinds, self.lines, self.aux)
-
-    @property
-    def events(self) -> list[Event]:
-        """The stream materialized as tuples (tests and debugging; the
-        replay paths iterate the columns directly)."""
-        return list(self.iter_events())
-
     # -- phase 2 -------------------------------------------------------
-
-    def replay(self, snc_configs: Mapping[str, SNCConfig],
-               snc_schemes: Mapping[str, str] | None = None,
-               *,
-               strategy: SwitchStrategy | None = None,
-               alt_l2: bool = False,
-               integrity_configs: Mapping[str, IntegrityConfig]
-               | None = None,
-               integrity_providers: Mapping[str, str] | None = None,
-               ) -> BenchmarkEvents:
-        """Phase 2, per-event reference path: the replay twin of
-        :func:`~repro.eval.pipeline.simulate_benchmark` (``strategy=
-        None``) or :func:`~repro.eval.pipeline.simulate_scenario` (a
-        :class:`~repro.secure.snc_policy.SwitchStrategy`).
-
-        Builds the same state machines the fused path would and walks
-        the recorded columns through each, one configuration at a time
-        — the reference backend :meth:`replay_batch` must match.
-        """
-        request = ReplayRequest(
-            snc_configs=snc_configs,
-            snc_schemes=snc_schemes,
-            strategy=strategy,
-            alt_l2=alt_l2,
-            integrity_configs=integrity_configs,
-            integrity_providers=integrity_providers,
-        )
-        sims, models = self._build(request)
-        events_stream = self.iter_events
-        for sim in sims.values():
-            sim.replay_events(events_stream())
-        for model in models.values():
-            _apply_to_integrity(model, events_stream())
-        return self._assemble(request, sims, models)
 
     def replay_batch(self, requests: Sequence[ReplayRequest],
                      ) -> list[BenchmarkEvents]:
         """Phase 2, batched: price every request in **one** event-major
         pass over the columns (outer loop over events, inner loop over
-        the union of all requests' state machines), byte-identical to
-        calling :meth:`replay` per request.
+        the union of all requests' state machines).
 
         One recording often serves many configuration sets — a FLUSH
         task and a TAG task, or several SNC geometry sweeps — and the
@@ -226,7 +163,7 @@ class Recording:
 
     def _build(self, request: ReplayRequest) -> tuple[dict, dict]:
         """The state machines one request needs, validated against the
-        recording (same builders as the fused path)."""
+        recording."""
         if request.alt_l2 and self.read_misses_big_l2 is None:
             raise ConfigurationError(
                 f"{self.name}: this recording carries no alternate-L2 "
@@ -251,8 +188,9 @@ class Recording:
     def _assemble(self, request: ReplayRequest, sims: dict,
                   models: dict) -> BenchmarkEvents:
         """One request's :class:`BenchmarkEvents` from its replayed
-        state machines plus the recorded aggregates — the same assembly
-        for the per-event and batch paths, so they cannot diverge."""
+        state machines plus the recorded aggregates: figure requests
+        calibrate compute from the one task's Figure 3 anchor, scenario
+        requests per task, summed."""
         if request.strategy is None:
             events = BenchmarkEvents(
                 self.name, self.tasks[0].xom_slowdown_pct
@@ -309,12 +247,6 @@ class Recording:
 DEFAULT_RECORD_BLOCK = 4096
 
 
-def _reference_requested() -> bool:
-    """``REPRO_RECORD_REFERENCE=1`` forces the per-ref reference recorder
-    process-wide (parity triage without touching call sites)."""
-    return os.environ.get("REPRO_RECORD_REFERENCE", "") not in ("", "0")
-
-
 def record_source(source: WorkloadSource,
                   scale: SimulationScale | None = None,
                   seed: int = 1,
@@ -322,14 +254,13 @@ def record_source(source: WorkloadSource,
                   l2_lines: int = L2_BASE_LINES,
                   l2_assoc: int = L2_BASE_ASSOC,
                   *,
-                  reference: bool = False,
                   block_size: int = DEFAULT_RECORD_BLOCK) -> Recording:
     """Phase 1: one pass over the source and the L2(s), columns out.
 
-    Mirrors the fused loops' reference handling exactly — same L2, same
-    warmup-boundary placement, same owner resolution for dirty evictions
-    of a shared L2 — so a replay of the result is indistinguishable from
-    the fused simulation.  ``include_alt_l2`` additionally runs the
+    Counters zero at the warmup boundary, and a dirty eviction of a
+    shared L2 is recorded under the task that fetched the line (its
+    owner), not the one scheduled when it is evicted.
+    ``include_alt_l2`` additionally runs the
     Figure 8 384KB L2 and records its measured miss counts (aggregates
     only; no SNC consumes its stream); benchmark-source recordings always
     include it so one recording serves every figure.
@@ -339,16 +270,9 @@ def record_source(source: WorkloadSource,
     block — split at the warmup boundary, trimmed at the total — goes
     through :meth:`~repro.memory.cache.TagOnlyCache.access_block` in one
     call, and events land directly in the recording's columns.  The
-    retired per-reference loop survives as
-    :func:`record_source_reference`, the parity oracle: both produce
-    byte-identical recordings (same columns, same CRC, same trace-store
-    key; the record differential suite pins it).  ``reference=True`` or
-    ``REPRO_RECORD_REFERENCE=1`` selects it.
+    result is byte-identical for any ``block_size`` to the per-reference
+    oracle's (``tests/eval/test_record_block.py`` pins it).
     """
-    if reference or _reference_requested():
-        return record_source_reference(
-            source, scale, seed, include_alt_l2, l2_lines, l2_assoc
-        )
     scale = scale or SimulationScale()
     tasks = source.tasks
     first_task = tasks[0].xom_id
@@ -458,175 +382,4 @@ def record_source(source: WorkloadSource,
         kinds=kinds,
         lines=lines,
         aux=aux,
-    )
-
-
-def record_source_reference(source: WorkloadSource,
-                            scale: SimulationScale | None = None,
-                            seed: int = 1,
-                            include_alt_l2: bool = True,
-                            l2_lines: int = L2_BASE_LINES,
-                            l2_assoc: int = L2_BASE_ASSOC) -> Recording:
-    """The per-reference record loop: :func:`record_source`'s parity
-    oracle (the pre-block implementation, kept verbatim).  The record
-    differential suite pins the two byte-identical; run sweeps with
-    ``REPRO_RECORD_REFERENCE=1`` to select it without code changes.
-    """
-    scale = scale or SimulationScale()
-    tasks = source.tasks
-    first_task = tasks[0].xom_id
-    l2 = TagOnlyCache(l2_lines, l2_assoc)
-    l2_access = l2.access
-    big_access = None
-    if include_alt_l2:
-        big_access = TagOnlyCache(L2_BIG_LINES, L2_BIG_ASSOC).access
-
-    events: list[Event] = []
-    append = events.append
-    measuring = False
-    warmup = scale.warmup_refs
-    total = scale.total_refs
-    read_misses = allocate_misses = writebacks = 0
-    read_misses_big = allocate_misses_big = 0
-    task_read_misses = {task.xom_id: 0 for task in tasks}
-    # Which task fetched each resident line: a dirty eviction is recorded
-    # under the *owner's* tag, resolved here once so replays never need
-    # the ownership map (same rule as the fused scenario loop).
-    line_owner: dict[int, int] = {}
-    current_task = first_task
-    position = 0
-
-    for item in source.stream(seed):
-        if type(item) is Switch:
-            append((EVENT_SWITCH, 0, item.next_task))
-            current_task = item.next_task
-            continue
-        if position == warmup:
-            measuring = True
-        line, is_write = item
-
-        hit, victim = l2_access(line, is_write)
-        if not hit:
-            line_owner[line] = current_task
-            if is_write:
-                if measuring:
-                    allocate_misses += 1
-                append((EVENT_ALLOC, line, 0))
-            else:
-                if measuring:
-                    read_misses += 1
-                    task_read_misses[current_task] += 1
-                append((EVENT_READ, line, 0))
-        if victim is not None:
-            owner = line_owner.pop(victim, current_task)
-            if measuring:
-                writebacks += 1
-            append((EVENT_WRITEBACK, victim, owner))
-        if not measuring and position + 1 == warmup:
-            append((EVENT_RESET, 0, 0))
-
-        if big_access is not None:
-            big_hit, _ = big_access(line, is_write)
-            if not big_hit and measuring:
-                if is_write:
-                    allocate_misses_big += 1
-                else:
-                    read_misses_big += 1
-
-        position += 1
-        if position >= total:
-            break
-
-    if read_misses == 0:
-        raise ConfigurationError(
-            f"{source.name}: the measurement window saw no load misses — "
-            "the trace scale is too small to get past the workload's "
-            "initialization phase (use at least the QUICK_SCALE lengths)"
-        )
-    return Recording(
-        name=source.name,
-        tasks=tuple(
-            RecordedTask(task.xom_id, task.label, task.xom_slowdown_pct)
-            for task in tasks
-        ),
-        warmup_refs=scale.warmup_refs,
-        measure_refs=scale.measure_refs,
-        seed=seed,
-        l2_lines=l2_lines,
-        l2_assoc=l2_assoc,
-        read_misses=read_misses,
-        allocate_misses=allocate_misses,
-        writebacks=writebacks,
-        read_misses_big_l2=read_misses_big if include_alt_l2 else None,
-        allocate_misses_big_l2=(
-            allocate_misses_big if include_alt_l2 else None
-        ),
-        task_read_misses=task_read_misses,
-        # Columnarize once, after the hot loop: three typed columns from
-        # one list of triples.
-        kinds=array(KIND_TYPECODE, map(itemgetter(0), events)),
-        lines=array(LINE_TYPECODE, map(itemgetter(1), events)),
-        aux=array(AUX_TYPECODE, map(itemgetter(2), events)),
-    )
-
-
-def _apply_to_integrity(model, events) -> None:
-    """Feed one integrity timing model the recorded stream — verify on
-    misses, update on writebacks, reset at the boundary, exactly the
-    calls the fused loops make (switches never reach integrity models:
-    their metadata is keyed by line, not by task)."""
-    verify = model.verify
-    update = model.update
-    for kind, line, _aux in events:
-        if kind == EVENT_READ:
-            verify(line, critical=True)
-        elif kind == EVENT_ALLOC:
-            verify(line, critical=False)
-        elif kind == EVENT_WRITEBACK:
-            update(line)
-        elif kind == EVENT_RESET:
-            model.reset_counts()
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def replay_benchmark(recording: Recording,
-                     snc_configs: dict[str, SNCConfig],
-                     snc_schemes: dict[str, str] | None = None,
-                     simulate_alt_l2: bool = False,
-                     integrity_configs: dict[str, IntegrityConfig]
-                     | None = None,
-                     integrity_providers: dict[str, str] | None = None,
-                     ) -> BenchmarkEvents:
-    """Deprecated: use :meth:`Recording.replay` (``strategy=None``)."""
-    _deprecated("replay_benchmark()", "Recording.replay()")
-    return recording.replay(
-        snc_configs, snc_schemes,
-        alt_l2=simulate_alt_l2,
-        integrity_configs=integrity_configs,
-        integrity_providers=integrity_providers,
-    )
-
-
-def replay_scenario(recording: Recording,
-                    snc_configs: dict[str, SNCConfig],
-                    snc_schemes: dict[str, str] | None = None,
-                    switch_strategy: SwitchStrategy = SwitchStrategy.TAG,
-                    integrity_configs: dict[str, IntegrityConfig]
-                    | None = None,
-                    integrity_providers: dict[str, str] | None = None,
-                    ) -> BenchmarkEvents:
-    """Deprecated: use :meth:`Recording.replay` with a ``strategy``."""
-    _deprecated("replay_scenario()", "Recording.replay(strategy=...)")
-    return recording.replay(
-        snc_configs, snc_schemes,
-        strategy=switch_strategy,
-        integrity_configs=integrity_configs,
-        integrity_providers=integrity_providers,
     )

@@ -228,9 +228,8 @@ def format_pool_stats(stats) -> str:
     (:func:`repro.eval.pool.pool_stats`): whether the warm workers were
     reused or respawned, how recordings reached them (shared memory vs
     the pickle pipe), and what duplicate work was avoided.  The runner
-    prints this after every ``--pool persistent`` run with ``--jobs``
-    > 1; CI greps it to pin "workers spawned once" and "shm" on the
-    smoke sweeps."""
+    prints this after every run with ``--jobs`` > 1; CI greps it to pin
+    "workers spawned once" and "shm" on the smoke sweeps."""
     if stats.workers_respawned:
         workers = (f"pool: {stats.workers_spawned} workers "
                    f"({stats.workers_respawned} respawned after death)")

@@ -8,9 +8,7 @@ Examples::
     python -m repro.eval --scale quick --jobs 4   # fan out 4 processes
     python -m repro.eval --jobs auto          # one worker per CPU,
                                               # capped by total lanes
-    python -m repro.eval --pool spawn         # fresh pool per run
     python -m repro.eval --no-cache           # force re-simulation
-    python -m repro.eval --backend fused      # the reference single-pass
     python -m repro.eval --no-trace-cache     # re-record event streams
     python -m repro.eval --scale 100000:150000 --charts
     python -m repro.eval serve --port 7203    # evaluation service daemon
@@ -45,7 +43,7 @@ from repro.eval.report import (
     format_summary,
     format_trace_stats,
 )
-from repro.eval.scheduler import BACKENDS, POOLS, auto_jobs, run_tasks
+from repro.eval.scheduler import auto_jobs, run_tasks
 from repro.eval.trace_store import TraceStore, default_trace_dir
 
 _FIGURES_BY_NUMBER = {
@@ -68,29 +66,6 @@ def parse_scale(text: str) -> SimulationScale:
         ) from None
 
 
-#: What each backend does, for the ``--backend`` error message.
-_BACKEND_SUMMARIES = {
-    "fused": "reference single-pass simulation",
-    "replay": "record once, batch-price all configs event-major",
-    "replay-perevent": "record once, replay each task one event at "
-                       "a time",
-}
-
-
-def parse_backend(text: str) -> str:
-    """A ``--backend`` value, rejected with a menu rather than a bare
-    'invalid choice' when it names no backend."""
-    if text in BACKENDS:
-        return text
-    menu = "; ".join(
-        f"'{name}' ({_BACKEND_SUMMARIES[name]})" for name in BACKENDS
-    )
-    raise argparse.ArgumentTypeError(
-        f"unknown backend {text!r} — pick one of {menu}; all three "
-        "produce byte-identical tables"
-    )
-
-
 def parse_jobs(text: str) -> int:
     """A ``--jobs`` value: a worker count, or ``auto`` — rejected with
     a menu rather than a bare 'invalid int'.  ``auto`` parses to the
@@ -110,28 +85,6 @@ def parse_jobs(text: str) -> int:
         f"invalid --jobs value {text!r} — pick a worker count >= 1, or "
         f"'auto' (one worker per CPU, up to {os.cpu_count() or 1} here, "
         "never more than the run's total pricing lanes)"
-    )
-
-
-#: What each pool mode does, for the ``--pool`` error message.
-_POOL_SUMMARIES = {
-    "persistent": "warm process-wide workers reused across runs, "
-                  "shared-memory recording shipping",
-    "spawn": "a fresh pool per run (the historical baseline)",
-}
-
-
-def parse_pool(text: str) -> str:
-    """A ``--pool`` value, rejected with a menu rather than a bare
-    'invalid choice' when it names no pool mode."""
-    if text in POOLS:
-        return text
-    menu = "; ".join(
-        f"'{name}' ({_POOL_SUMMARIES[name]})" for name in POOLS
-    )
-    raise argparse.ArgumentTypeError(
-        f"unknown pool {text!r} — pick one of {menu}; both produce "
-        "byte-identical tables"
     )
 
 
@@ -157,17 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=parse_jobs, default=1, metavar="N|auto",
         help="worker processes for the simulation fan-out (default 1: "
-             "serial, bit-identical to the historical path; 'auto' "
-             "uses one worker per CPU, capped by the run's total "
-             "pricing-lane count)",
-    )
-    parser.add_argument(
-        "--pool", type=parse_pool, default="persistent",
-        metavar="|".join(POOLS),
-        help="how parallel workers are hosted: 'persistent' (default) "
-             "reuses warm process-wide workers and ships recordings "
-             "through shared memory; 'spawn' builds a fresh pool per "
-             "run (both byte-identical; ignored when --jobs is 1)",
+             "serial; more run on a warm persistent pool that ships "
+             "recordings through shared memory, with byte-identical "
+             "tables; 'auto' uses one worker per CPU, capped by the "
+             "run's total pricing-lane count)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -178,19 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result cache location (default {default_cache_dir()})",
     )
     parser.add_argument(
-        "--backend", type=parse_backend, default="replay",
-        metavar="|".join(BACKENDS),
-        help="how events are produced: 'replay' (default) records each "
-             "workload's L2 event stream once and batch-prices every "
-             "configuration in one event-major pass; 'replay-perevent' "
-             "replays the stream per task through the reference "
-             "per-event loop; 'fused' is the reference single-pass "
-             "path (all three produce byte-identical tables)",
-    )
-    parser.add_argument(
         "--no-trace-cache", action="store_true",
-        help="ignore the on-disk recorded-stream store and re-record "
-             "(replay backends only)",
+        help="ignore the on-disk recorded-stream store and re-record",
     )
     parser.add_argument(
         "--trace-cache-dir", type=Path, default=None, metavar="DIR",
@@ -202,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST[:PORT]",
         help="run the tasks on a 'python -m repro.eval serve' daemon "
              "instead of locally (byte-identical tables; the daemon "
-             "owns the caches and the worker pool, so --jobs, --pool, "
-             "--backend and the cache flags are ignored)",
+             "owns the caches and the worker pool, so --jobs and the "
+             "cache flags are ignored)",
     )
     parser.add_argument(
         "--charts", action="store_true",
@@ -258,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.no_cache:
             cache = ResultCache(args.cache_dir)
         trace_store = None
-        if args.backend.startswith("replay") and not args.no_trace_cache:
+        if not args.no_trace_cache:
             trace_store = TraceStore(args.trace_cache_dir)
 
         print(
@@ -266,14 +201,12 @@ def main(argv: list[str] | None = None) -> int:
             f"({args.scale.warmup_refs} warmup + "
             f"{args.scale.measure_refs} "
             f"measured refs each, {n_jobs} worker"
-            f"{'s' if n_jobs != 1 else ''}, {args.backend} backend"
-            f"{f', {args.pool} pool' if n_jobs > 1 else ''})...",
+            f"{'s' if n_jobs != 1 else ''})...",
             file=sys.stderr,
         )
         task_results = run_tasks(
             tasks, n_jobs=n_jobs, cache=cache, progress=progress,
-            backend=args.backend, trace_store=trace_store,
-            pool=args.pool,
+            trace_store=trace_store,
         )
         print(
             f"{format_run_stats(task_results)} "
@@ -282,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if trace_store is not None:
             print(format_trace_stats(trace_store), file=sys.stderr)
-        if args.pool == "persistent" and n_jobs > 1:
+        if n_jobs > 1:
             print(format_pool_stats(pool_stats()), file=sys.stderr)
         print(file=sys.stderr)
     events = {result.task.workload: result.events

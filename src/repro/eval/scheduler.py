@@ -1,63 +1,37 @@
-"""Multiprocessing executor for simulation tasks.
+"""Executor for simulation tasks: record once, batch-price, fan out.
 
 The tasks produced by :func:`repro.eval.jobs.merge_jobs` and
-:func:`repro.eval.jobs.merge_scenario_jobs` are embarrassingly
-parallel — independent seeded trace simulations with no shared state — so
-the executor is a straight fan-out:
+:func:`repro.eval.jobs.merge_scenario_jobs` run in two phases:
 
-* ``n_jobs == 1`` (the default) runs everything inline in this process:
-  zero scheduling overhead, and results bit-identical to the historical
-  serial path.
-* ``n_jobs > 1`` fans the non-cached tasks over worker processes, in
-  one of two pool modes (:data:`POOLS`):
+* **Record.**  Pending tasks are grouped by their
+  :class:`~repro.eval.jobs.RecordTask`, and each distinct recording is
+  resolved once — from the :class:`~repro.eval.trace_store.TraceStore`
+  when one is given, else recorded fresh (in parallel when several are
+  missing; identical passes already in flight on another thread are
+  joined, not repeated).
+* **Price.**  Each group is **batch-priced**: one event-major pass
+  (:func:`repro.eval.jobs.price_batch`) walks the shared columns once
+  while every task's state machines consume them in lock-step.
 
-  - ``pool="persistent"`` (the default) — the process-wide warm
-    :class:`~repro.eval.pool.WorkerPool`: workers are spawned once per
-    process and reused across every ``run_tasks``/``run_jobs`` call, so
-    a multi-figure sweep pays one pool cold-start instead of one per
-    figure.  Recordings ship to workers through shared memory
-    (zero-copy; pipe fallback) and the shipments stay cached on the
-    pool across runs, identical record passes are deduped in flight,
-    and a crashed worker is respawned with its task retried once
-    inline.
-  - ``pool="spawn"`` — the historical per-call ``spawn``-context
-    ``multiprocessing.Pool``, kept as the bisection baseline (and for
-    embedders that must not hold processes between calls).
+``n_jobs == 1`` (the default) runs everything inline in this process.
+``n_jobs > 1`` fans the work over the process-wide warm
+:class:`~repro.eval.pool.WorkerPool`: workers are spawned once per
+process and reused across every ``run_tasks``/``run_jobs`` call,
+recordings ship to them through shared memory (zero-copy; pipe
+fallback) and the shipments stay cached on the pool across runs, and a
+crashed worker is respawned with its task retried once inline.  Workers
+re-import :mod:`repro` fresh, so results cannot depend on parent-process
+state.  When recordings alone cannot fill the workers, a recording's
+pricing lanes (one per SNC configuration or integrity model —
+independent by construction) are split into **lane shards**
+(:func:`plan_lane_shards`): each worker prices its subset over the same
+shipped recording, and the parent reassembles per-task events in
+canonical lane order (:func:`repro.eval.jobs.merge_shard_events`).
+Every job count produces byte-identical events.
 
-  Workers re-import :mod:`repro` fresh in both modes, so results cannot
-  depend on parent-process state; each returns its events plus its own
-  wall time, and both modes are byte-identical to the inline path.
-
-Three execution backends produce identical events (the differential
-suite and the byte-identical table checks in CI pin this):
-
-* ``backend="fused"`` — the reference implementation: each task runs the
-  single-pass loops in :mod:`repro.eval.pipeline`, regenerating the
-  workload and re-simulating the L2 every time.
-* ``backend="replay"`` (the default) — the record/replay engine
-  (:mod:`repro.eval.record`): pending tasks are first grouped by their
-  :class:`~repro.eval.jobs.RecordTask`, each distinct recording is
-  resolved once (from the :class:`~repro.eval.trace_store.TraceStore`
-  when one is given, else recorded fresh — in parallel when several are
-  missing), and then each group is **batch-priced**: one event-major
-  pass (:func:`repro.eval.jobs.price_batch`) walks the shared columns
-  once while every task's state machines consume them in lock-step.
-  ``--jobs N`` parallelizes across recordings *and*, when recordings
-  alone cannot fill the workers, across **lane shards** within one:
-  :func:`plan_lane_shards` splits a group's pricing lanes (one per SNC
-  configuration or integrity model — independent by construction) into
-  per-worker chunks, each worker prices only its subset over the same
-  shipped recording, and the parent reassembles per-task events in
-  canonical lane order (:func:`repro.eval.jobs.merge_shard_events`) —
-  byte-identical to the unsharded pass.
-* ``backend="replay-perevent"`` — the same two phases, but each task
-  replays the stream on its own through the per-event reference loop
-  (:meth:`~repro.timing.model.SNCTimingSim.replay_events`).  This is
-  the bisection backend batch pricing is pinned against.
-
-Either way the result list comes back **in task order** (completion order
-only affects progress lines), and every simulated result is written back
-to the :class:`~repro.eval.cache.ResultCache` when one is given.
+The result list comes back **in task order** (completion order only
+affects progress lines), and every priced result is written back to the
+:class:`~repro.eval.cache.ResultCache` when one is given.
 """
 
 from __future__ import annotations
@@ -75,8 +49,6 @@ from repro.eval.jobs import (
     Lane,
     RecordTask,
     execute_record,
-    execute_task,
-    execute_task_replay,
     merge_jobs,
     merge_shard_events,
     price_batch,
@@ -101,12 +73,6 @@ from repro.eval.trace_store import (
 
 Progress = Callable[[str], None]
 
-#: The three ways a task's events can be produced.
-BACKENDS = ("fused", "replay", "replay-perevent")
-
-#: The two ways parallel work is hosted (``n_jobs == 1`` ignores both).
-POOLS = ("persistent", "spawn")
-
 
 @dataclass(frozen=True)
 class TaskResult:
@@ -116,13 +82,6 @@ class TaskResult:
     events: BenchmarkEvents
     seconds: float
     cached: bool
-
-
-def _run_indexed(item: tuple[int, AnyTask]):
-    index, task = item
-    started = time.perf_counter()
-    events = execute_task(task)
-    return index, events, time.perf_counter() - started
 
 
 def _record_indexed(item: tuple[int, RecordTask]):
@@ -136,13 +95,6 @@ def _record_indexed(item: tuple[int, RecordTask]):
     remember_recording(record_task.config_hash(), recording)
     payload = recording_to_bytes(recording)
     return index, payload, time.perf_counter() - started
-
-
-def _replay_indexed(item: tuple[int, AnyTask, dict]):
-    index, task, ref = item
-    started = time.perf_counter()
-    events = execute_task_replay(task, resolve_recording_ref(ref))
-    return index, events, time.perf_counter() - started
 
 
 def _batch_indexed(item):
@@ -173,7 +125,7 @@ def _batch_indexed(item):
 
 #: Never split a group below this many lanes per shard: each shard
 #: re-walks the whole event stream, so a shard must amortize that
-#: decode over at least two lanes to beat staying fused with another.
+#: decode over at least two lanes to beat sharing one pass.
 MIN_SHARD_LANES = 2
 
 
@@ -274,45 +226,23 @@ def auto_jobs(tasks: Sequence[AnyTask]) -> int:
     return max(1, min(cpus, total_lane_count(tasks)))
 
 
-def _spawn_chunksize(n_items: int, workers: int) -> int:
-    """Chunk so each worker sees ~4 batches — enough slack to balance
-    uneven task costs, but far from the per-item pickle round-trips
-    ``chunksize=1`` pays on many tiny replay tasks.  Heavy fan-outs
-    whose item list was already sized to the workers (the lane-sharded
-    batch items) pass an explicit ``chunksize=1`` instead: chunking
-    two shards onto one worker would serialize them and idle another."""
-    return max(1, n_items // (workers * 4))
-
-
-def _fan_out(items: list, worker, n_jobs: int, on_result,
-             pool: str = "spawn", chunksize: int | None = None) -> None:
-    """Run indexed work items serially (zero scheduling overhead), on
-    the process-wide persistent pool, or across a fresh spawn-context
-    pool, handing each worker's result tuple to ``on_result`` as it
-    completes.  The one fan-out used by every phase — fused tasks,
-    record passes, replays, batch shards."""
+def _fan_out(items: list, worker, n_jobs: int, on_result) -> None:
+    """Run indexed work items serially (zero scheduling overhead) or on
+    the process-wide persistent pool, handing each worker's result
+    tuple to ``on_result`` as it completes.  The one fan-out used by
+    both phases — record passes and batch shards."""
     if len(items) <= 1 or n_jobs == 1:
         for item in items:
             on_result(*worker(item))
         return
     workers = min(n_jobs, len(items))
-    if pool == "persistent":
-        get_worker_pool(workers).run(worker, items, on_result,
-                                     max_workers=workers)
-        return
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=workers) as mp_pool:
-        for result in mp_pool.imap_unordered(
-            worker, items,
-            chunksize=chunksize or _spawn_chunksize(len(items), workers),
-        ):
-            on_result(*result)
+    get_worker_pool(workers).run(worker, items, on_result,
+                                 max_workers=workers)
 
 
 def _resolve_recordings(record_tasks: list[RecordTask], n_jobs: int,
                         trace_store: TraceStore | None,
                         progress: Progress | None,
-                        pool: str = "spawn",
                         want_recordings: bool = True,
                         ) -> tuple[dict[RecordTask, bytes],
                                    dict[RecordTask, Recording]]:
@@ -403,8 +333,7 @@ def _resolve_recordings(record_tasks: list[RecordTask], n_jobs: int,
                 claims.pop(record_task).publish(payload, None)
                 emit(index, record_task, f"recorded in {seconds:.1f}s")
 
-            _fan_out(pending, _record_indexed, n_jobs, on_recorded,
-                     pool=pool)
+            _fan_out(pending, _record_indexed, n_jobs, on_recorded)
     finally:
         # A record pass that died must not strand its waiters — they
         # fall back to recording for themselves.
@@ -440,44 +369,37 @@ def _resolve_recordings(record_tasks: list[RecordTask], n_jobs: int,
 def run_tasks(tasks: list[AnyTask], n_jobs: int = 1,
               cache: ResultCache | None = None,
               progress: Progress | None = None,
-              backend: str = "fused",
+              backend: str = "replay",
               trace_store: TraceStore | None = None,
-              pool: str = "persistent",
               on_result=None) -> list[TaskResult]:
     """Execute tasks — figure and scenario alike — in task order.
 
     Cache hits are resolved first (and never occupy a worker); the
-    remainder runs inline (``n_jobs == 1``) or across a process pool,
-    through the selected ``backend``.  ``trace_store`` persists replay
-    recordings across runs; it is only consulted by the replay backend.
-    ``pool`` picks how parallel work is hosted (:data:`POOLS`) and is
-    ignored when everything runs inline.  ``on_result(index, result)``,
+    remainder is recorded and batch-priced inline (``n_jobs == 1``) or
+    across the persistent pool.  ``trace_store`` persists recordings
+    across runs.  ``backend`` names the engine and accepts only
+    ``"replay"``, the one there is.  ``on_result(index, result)``,
     when given, fires once per task *as it completes* (cache hits
     included, completion order) — the serve daemon resolves each
     subscriber's future from it instead of waiting for the whole list.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if backend not in BACKENDS:
+    if backend != "replay":
         raise ValueError(
-            f"unknown backend {backend!r} (expected one of {BACKENDS})"
-        )
-    if pool not in POOLS:
-        raise ValueError(
-            f"unknown pool {pool!r} (expected one of {POOLS})"
+            f"unknown backend {backend!r} (the only engine is 'replay')"
         )
     total = len(tasks)
     results: list[TaskResult | None] = [None] * total
     pending: list[tuple[int, AnyTask]] = []
 
-    def emit(index: int, result: TaskResult, verb: str = "simulated"
-             ) -> None:
+    def emit(index: int, result: TaskResult) -> None:
         results[index] = result
         if on_result is not None:
             on_result(index, result)
         if progress is not None:
             how = "cached" if result.cached else (
-                f"{verb} in {result.seconds:.1f}s"
+                f"batch-priced in {result.seconds:.1f}s"
             )
             progress(f"[{index + 1}/{total}] {result.task.describe()}: "
                      f"{how}")
@@ -489,160 +411,51 @@ def run_tasks(tasks: list[AnyTask], n_jobs: int = 1,
         else:
             pending.append((index, task))
 
-    if backend in ("replay", "replay-perevent") and pending:
-        _run_replay(tasks, pending, n_jobs, cache, emit, progress,
-                    trace_store, batch=backend == "replay", pool=pool)
-    else:
-        def on_simulated(index: int, events: BenchmarkEvents,
-                         seconds: float) -> None:
-            task = tasks[index]
-            if cache is not None:
-                cache.put(task, events)
-            emit(index, TaskResult(task, events, seconds, cached=False))
-
-        _fan_out(pending, _run_indexed, n_jobs, on_simulated, pool=pool)
-
+    if pending:
+        _run_pending(pending, n_jobs, cache, emit, progress, trace_store)
     return [result for result in results if result is not None]
 
 
-def _run_replay(tasks: list[AnyTask],
-                pending: list[tuple[int, AnyTask]], n_jobs: int,
-                cache: ResultCache | None, emit, progress,
-                trace_store: TraceStore | None, batch: bool,
-                pool: str = "spawn") -> None:
-    """The replay backend's two phases over the non-cached tasks."""
-    # Group by record pass, preserving first-appearance order: distinct
-    # (source, scale, seed) triples record once each; everything else
-    # about a task is replay-side configuration.
-    record_tasks: list[RecordTask] = []
-    by_task: dict[int, RecordTask] = {}
-    groups: dict[RecordTask, list[tuple[int, AnyTask]]] = {}
-    for index, task in pending:
-        record_task = record_task_for(task)
-        by_task[index] = record_task
-        if record_task not in groups:
-            record_tasks.append(record_task)
-        groups.setdefault(record_task, []).append((index, task))
-    if batch:
-        # One pool item per (recording, lane shard): groups alone when
-        # they cover the workers, lane shards within them when they
-        # don't (a single-recording sweep still fills the pool).
-        plan = plan_lane_shards(
-            [sum(len(task_lanes(task)) for _index, task in groups[rt])
-             for rt in record_tasks],
-            n_jobs, _lane_shard_limit(),
-        )
-        n_parallel = sum(plan)
-    else:
-        plan = None
-        n_parallel = len(pending)
-    fanning_out = n_jobs > 1 and n_parallel > 1
-    payloads, recordings = _resolve_recordings(
-        record_tasks, n_jobs, trace_store, progress, pool=pool,
-        # Phase 2 in the workers consumes the wire payloads as-is, so
-        # the parent skips the column decode for store hits entirely.
-        want_recordings=not fanning_out,
-    )
+def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
+                 cache: ResultCache | None, emit, progress,
+                 trace_store: TraceStore | None) -> None:
+    """Record and batch-price the non-cached tasks.
 
-    def payload_for(record_task: RecordTask) -> bytes:
-        """The wire form for a pool worker — serialized at most once,
-        and only here (a recording made in-process has no payload yet
-        unless the store already wrote one)."""
-        payload = payloads.get(record_task)
-        if payload is None:
-            payload = recording_to_bytes(recordings[record_task])
-            payloads[record_task] = payload
-        return payload
-
-    worker_pool = (get_worker_pool(min(n_jobs, max(n_parallel, 1)))
-                   if pool == "persistent" and fanning_out else None)
-
-    def ref_for(record_task: RecordTask) -> dict:
-        """The recording reference a phase-2 pool item carries: a
-        shared-memory shipment on the persistent pool (zero-copy; pipe
-        fallback inside ``ship_recording``; shipments are cached on the
-        pool across runs and unlinked by its budget or shutdown), the
-        wire payload itself on the spawn pool."""
-        key = record_task.config_hash()
-        if worker_pool is not None:
-            return worker_pool.ship_recording(
-                key, recording=recordings.get(record_task),
-                payload=payloads.get(record_task),
-            )
-        return {"key": key, "payload": payload_for(record_task)}
-
-    if batch:
-        _price_groups(record_tasks, groups, payloads, recordings,
-                      ref_for, n_jobs, cache, emit, progress,
-                      pool=pool, trace_store=trace_store, plan=plan)
-        return
-
-    if len(pending) <= 1 or n_jobs == 1:
-        # Inline: parse each payload at most once, memoized across
-        # the tasks sharing it (pool workers parse their own copy
-        # instead).
-        for index, task in pending:
-            record_task = by_task[index]
-            recording = recordings.get(record_task)
-            if recording is None:
-                recording = recording_from_bytes(
-                    payloads[record_task]
-                )
-                recordings[record_task] = recording
-            started = time.perf_counter()
-            events = execute_task_replay(task, recording)
-            seconds = time.perf_counter() - started
-            if trace_store is not None:
-                trace_store.note_priced(1, seconds)
-            if cache is not None:
-                cache.put(task, events)
-            emit(index,
-                 TaskResult(task, events, seconds, cached=False),
-                 verb="replayed")
-        return
-
-    def on_replayed(index: int, events: BenchmarkEvents,
-                    seconds: float) -> None:
-        task = tasks[index]
-        if trace_store is not None:
-            trace_store.note_priced(1, seconds)
-        if cache is not None:
-            cache.put(task, events)
-        emit(index, TaskResult(task, events, seconds, cached=False),
-             verb="replayed")
-
-    _fan_out([(index, task, ref_for(by_task[index]))
-              for index, task in pending],
-             _replay_indexed, n_jobs, on_replayed, pool=pool)
-
-
-def _price_groups(record_tasks: list[RecordTask],
-                  groups: dict[RecordTask, list[tuple[int, AnyTask]]],
-                  payloads: dict[RecordTask, bytes],
-                  recordings: dict[RecordTask, Recording],
-                  ref_for, n_jobs: int,
-                  cache: ResultCache | None, emit, progress,
-                  pool: str = "spawn",
-                  trace_store: TraceStore | None = None,
-                  plan: list[int] | None = None) -> None:
-    """Phase 2, batch mode: one event-major pass per recording — or,
-    when recordings alone would leave workers idle, several lane-shard
-    passes per recording priced concurrently.
-
-    ``plan`` (from :func:`plan_lane_shards`) says how many shards each
-    group splits into; each shard prices a contiguous lane subset over
-    the same shipped recording (one pool item per shard, riding the
+    One pool item per (recording, lane shard): groups alone when they
+    cover the workers, lane shards within them when they don't (a
+    single-recording sweep still fills the pool).  Each shard prices a
+    contiguous lane subset over the same shipped recording (riding the
     pool's dedupe/retry/respawn machinery as-is — a dead worker
     re-prices only its shard), and the group's results are merged back
     per task in canonical lane order
     (:func:`~repro.eval.jobs.merge_shard_events`), byte-identical to
     the one-pass path.  The group's wall time — summed across its
     shards — is apportioned evenly across its tasks so run stats still
-    sum to the real simulated time.
+    sum to the real priced time.
     """
+    # Group by record pass, preserving first-appearance order: distinct
+    # (source, scale, seed) triples record once each; everything else
+    # about a task is pricing-side configuration.
+    record_tasks: list[RecordTask] = []
+    groups: dict[RecordTask, list[tuple[int, AnyTask]]] = {}
+    for index, task in pending:
+        record_task = record_task_for(task)
+        if record_task not in groups:
+            record_tasks.append(record_task)
+        groups.setdefault(record_task, []).append((index, task))
+    plan = plan_lane_shards(
+        [sum(len(task_lanes(task)) for _index, task in groups[rt])
+         for rt in record_tasks],
+        n_jobs, _lane_shard_limit(),
+    )
+    fanning_out = n_jobs > 1 and sum(plan) > 1
+    payloads, recordings = _resolve_recordings(
+        record_tasks, n_jobs, trace_store, progress,
+        # Phase 2 in the workers consumes the wire payloads as-is, so
+        # the parent skips the column decode for store hits entirely.
+        want_recordings=not fanning_out,
+    )
     n_groups = len(record_tasks)
-    if plan is None:
-        plan = [1] * n_groups
     group_shards = [
         _shard_members(groups[record_task], plan[group_index])
         for group_index, record_task in enumerate(record_tasks)
@@ -688,8 +501,7 @@ def _price_groups(record_tasks: list[RecordTask],
                 events = partials[index][0]
             if cache is not None:
                 cache.put(task, events)
-            emit(index, TaskResult(task, events, share, cached=False),
-                 verb="batch-priced")
+            emit(index, TaskResult(task, events, share, cached=False))
 
     pending_shards: dict[int, dict[int, tuple[list, float]]] = {}
 
@@ -701,14 +513,7 @@ def _price_groups(record_tasks: list[RecordTask],
         if len(got) == len(group_shards[group_index]):
             finish(group_index, pending_shards.pop(group_index))
 
-    items = [
-        (group_index, shard_index,
-         tuple((task, lanes) for _index, task, lanes in shard),
-         ref_for(record_task))
-        for group_index, record_task in enumerate(record_tasks)
-        for shard_index, shard in enumerate(group_shards[group_index])
-    ]
-    if len(items) <= 1 or n_jobs == 1:
+    if not fanning_out:
         # Inline: parse each payload at most once (store hits arrive
         # parsed already; fresh pool recordings arrive as wire bytes),
         # and price each group in one unsharded pass.
@@ -716,7 +521,6 @@ def _price_groups(record_tasks: list[RecordTask],
             recording = recordings.get(record_task)
             if recording is None:
                 recording = recording_from_bytes(payloads[record_task])
-                recordings[record_task] = recording
             started = time.perf_counter()
             events_list = price_batch(
                 [task for _, task in groups[record_task]], recording
@@ -725,16 +529,33 @@ def _price_groups(record_tasks: list[RecordTask],
                       events_list, time.perf_counter() - started)
         return
 
-    _fan_out(items, _batch_indexed, n_jobs, on_priced, pool=pool,
-             chunksize=1)
+    # Shared-memory shipments (zero-copy; pipe fallback inside
+    # ``ship_recording``) are cached on the pool across runs and
+    # unlinked by its budget or shutdown.
+    workers = min(n_jobs, sum(plan))
+    worker_pool = get_worker_pool(workers)
+    refs = {
+        record_task: worker_pool.ship_recording(
+            record_task.config_hash(),
+            recording=recordings.get(record_task),
+            payload=payloads.get(record_task),
+        )
+        for record_task in record_tasks
+    }
+    items = [
+        (group_index, shard_index,
+         tuple((task, lanes) for _index, task, lanes in shard),
+         refs[record_task])
+        for group_index, record_task in enumerate(record_tasks)
+        for shard_index, shard in enumerate(group_shards[group_index])
+    ]
+    worker_pool.run(_batch_indexed, items, on_priced, max_workers=workers)
 
 
 def run_jobs(jobs: list[ExperimentJob], n_jobs: int = 1,
              cache: ResultCache | None = None,
              progress: Progress | None = None,
-             backend: str = "fused",
              trace_store: TraceStore | None = None,
-             pool: str = "persistent",
              ) -> dict[str, BenchmarkEvents]:
     """Merge figure-level jobs, execute, and index events by workload.
 
@@ -755,6 +576,5 @@ def run_jobs(jobs: list[ExperimentJob], n_jobs: int = 1,
             "ambiguous (use merge_jobs + run_tasks instead)"
         )
     results = run_tasks(tasks, n_jobs=n_jobs, cache=cache,
-                        progress=progress, backend=backend,
-                        trace_store=trace_store, pool=pool)
+                        progress=progress, trace_store=trace_store)
     return {result.task.workload: result.events for result in results}

@@ -124,8 +124,7 @@ class EvalServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 n_jobs: int = 1, backend: str = "replay",
-                 pool: str = "persistent",
+                 n_jobs: int = 1,
                  cache: ResultCache | None = None,
                  trace_store: TraceStore | None = None,
                  hot_results: int | None = None,
@@ -134,8 +133,6 @@ class EvalServer:
         self.host = host
         self.port = port
         self.n_jobs = n_jobs
-        self.backend = backend
-        self.pool = pool
         self.cache = cache
         self.trace_store = trace_store
         self.hot_capacity = (
@@ -246,8 +243,8 @@ class EvalServer:
         n_jobs = self.n_jobs or auto_jobs(batch)
         run_tasks(
             batch, n_jobs=n_jobs, cache=self.cache,
-            backend=self.backend, trace_store=self.trace_store,
-            pool=self.pool, on_result=self._resolve_from_thread,
+            trace_store=self.trace_store,
+            on_result=self._resolve_from_thread,
         )
 
     def _resolve_from_thread(self, index: int, result: TaskResult
@@ -368,8 +365,6 @@ class EvalServer:
                 "server": SERVER_NAME,
                 "protocol": PROTOCOL_VERSION,
                 "pid": os.getpid(),
-                "backend": self.backend,
-                "pool": self.pool,
                 "jobs": self.n_jobs or "auto",
             })
         if kind == "stats":
@@ -547,8 +542,6 @@ class EvalServer:
         payload["uptime_seconds"] = time.time() - payload.pop("started")
         payload.update(
             pid=os.getpid(),
-            backend=self.backend,
-            pool=self.pool,
             jobs=self.n_jobs or "auto",
             hot_entries=len(self._hot),
             inflight=len(self._inflight),
@@ -632,7 +625,7 @@ def start_server_thread(**kwargs) -> ServerHandle:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.eval.runner import parse_backend, parse_jobs, parse_pool
+    from repro.eval.runner import parse_jobs
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval serve",
@@ -657,14 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=parse_jobs, default=1, metavar="N|auto",
         help="worker processes per batch (default 1; 'auto' resolves "
              "per batch: one per CPU, capped by the batch's lanes)",
-    )
-    parser.add_argument(
-        "--backend", type=parse_backend, default="replay",
-        metavar="NAME", help="execution backend (default replay)",
-    )
-    parser.add_argument(
-        "--pool", type=parse_pool, default="persistent",
-        metavar="NAME", help="worker pool mode (default persistent)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -702,21 +687,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     trace_store = None
-    if args.backend.startswith("replay") and not args.no_trace_cache:
+    if not args.no_trace_cache:
         trace_store = TraceStore(args.trace_cache_dir)
 
     async def amain() -> dict:
         server = EvalServer(
-            args.host, args.port, n_jobs=args.jobs,
-            backend=args.backend, pool=args.pool, cache=cache,
+            args.host, args.port, n_jobs=args.jobs, cache=cache,
             trace_store=trace_store, hot_results=args.hot_results,
             idle_timeout=args.idle_timeout,
         )
         await server.start()
         print(
             f"{SERVER_NAME} listening on {server.host}:{server.port} "
-            f"(pid {os.getpid()}, {args.backend} backend, "
-            f"{args.pool} pool, jobs {args.jobs or 'auto'})",
+            f"(pid {os.getpid()}, jobs {args.jobs or 'auto'})",
             file=sys.stderr, flush=True,
         )
         await server.serve_until_stopped()

@@ -377,19 +377,16 @@ class TraceStore:
         self.record_seconds += seconds
 
     def note_priced(self, tasks: int, seconds: float,
-                    shards: int = 0) -> None:
-        """Count ``tasks`` simulation tasks priced by replay.
+                    shards: int) -> None:
+        """Count one batch pass pricing ``tasks`` simulation tasks.
 
-        Batch passes also report ``shards`` — how many lane shards the
-        group's pass was split into (1 when it ran whole).  The summary
-        line surfaces sharding only when some pass split
-        (``price_shards > price_passes``); the per-event path passes no
-        shard count at all."""
+        ``shards`` is how many lane shards the group's pass was split
+        into (1 when it ran whole).  The summary line surfaces sharding
+        only when some pass split (``price_shards > price_passes``)."""
         self.tasks_priced += tasks
         self.price_seconds += seconds
-        if shards:
-            self.price_passes += 1
-            self.price_shards += shards
+        self.price_passes += 1
+        self.price_shards += shards
 
     def key_for(self, record_task) -> str:
         digest = hashlib.sha256()

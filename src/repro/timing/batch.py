@@ -1,16 +1,17 @@
 """Event-major batch replay: many timing sims, one pass over the trace.
 
-:meth:`~repro.timing.model.SNCTimingSim.replay_events` walks a recorded
-stream once per configuration — the per-event reference path.  A sweep
-prices the *same* stream through many configurations, so the decode work
-(column iteration, kind dispatch) repeats per configuration for no
-reason.  :func:`replay_events_batch` inverts the loops: one pass over
-the shared columns applies each event to every live sim (and every
-integrity model), so the per-event decode is paid once for the whole
-batch.
+The per-event semantics live on :class:`~repro.timing.model.SNCTimingSim`
+(:meth:`~repro.timing.model.SNCTimingSim.read_miss` / ``writeback`` /
+``switch_task`` / ``reset_counts``), one call per event per
+configuration.  A sweep prices the *same* recorded stream through many
+configurations, so walking it once per configuration would repeat the
+decode work (column iteration, kind dispatch) for no reason.
+:func:`replay_events_batch` inverts the loops: one pass over the shared
+columns applies each event to every live sim (and every integrity
+model), so the per-event decode is paid once for the whole batch.
 
-Inner-loop Python frames are what actually dominate the reference
-path — the Algorithm 1 miss arm alone crosses five of them (hook →
+Inner-loop Python frames are what actually dominate per-event
+pricing — the Algorithm 1 miss arm alone crosses five of them (hook →
 table fetch → install → insert → spill) — so inverting the loops only
 wins if the per-lane work sheds those frames instead of adding handler
 calls of its own.  This module therefore *generates* the batch loop:
@@ -30,20 +31,20 @@ configuration supports:
 * **fast** — base ``read``/``write`` but a variant hook, a
   no-replacement SNC, or nonstandard callbacks: the hit paths inline,
   the ``_read_query_miss`` / ``_write_update_hit`` /
-  ``_write_update_miss`` hooks dispatch virtually, exactly like the
-  reference loop.
+  ``_write_update_miss`` hooks dispatch virtually, exactly as
+  ``read``/``write`` would.
 * **generic** — a core overriding ``read``/``write`` themselves falls
   back to the fully generic calls.
 
-Count-identical to running :meth:`replay_events` per sim by
+Count-identical to calling the per-event methods on each sim by
 construction: sims never interact, each sees the identical event
-sequence in order, and every generated arm mirrors the reference
-loop's — the same descheduled-owner writeback routing, the same
-warmup-boundary reset (classification and traffic counters zeroed, SNC
-lifetime stats and warm state kept).  The inlined hit/miss tallies are
-accumulated in locals and flushed into ``sim.counts`` / ``snc.stats``
-afterwards.  ``tests/eval/test_replay_differential.py`` pins the
-equality; ``benchmarks/bench_trace_throughput.py`` tracks the speedup.
+sequence in order, and every generated arm mirrors those methods — the
+same descheduled-owner writeback routing, the same warmup-boundary
+reset (classification and traffic counters zeroed, SNC lifetime stats
+and warm state kept).  The inlined hit/miss tallies are accumulated in
+locals and flushed into ``sim.counts`` / ``snc.stats`` afterwards.
+``tests/eval/test_replay_differential.py`` pins the equality against
+the per-reference oracle in ``tests/eval/oracle.py``.
 """
 
 from __future__ import annotations
@@ -62,13 +63,14 @@ from repro.timing.model import (
 )
 
 #: Per-lane counter locals, in flush order (see :func:`_flush`).  The
-#: first block mirrors the reference loop's locals and the traffic
-#: counts its callbacks bump; the second is the SNC stat increments the
+#: first block is the :class:`~repro.timing.model.SNCEventCounts`
+#: classification counts plus the traffic counts the sim's callbacks
+#: bump; the second is the SNC stat increments the
 #: inlined paths bypass.
 _COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp",
              "qh", "qm", "sh", "su", "ins", "ev", "rjs")
 #: The subset zeroed at the warmup boundary (the counts-backed ones;
-#: SNC stats are lifetime values the reference never resets).
+#: SNC stats are lifetime values ``reset_counts`` never zeroes).
 _RESET_COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp")
 
 #: Compiled batch functions keyed by ``(lane shapes, n_models,
@@ -260,7 +262,7 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
     desched = [
         f"if owner != {xom}:",
         # A descheduled owner's dirty line routes through its own core,
-        # exactly as the reference loop does.
+        # exactly as SNCTimingSim.writeback does.
         f"    k = tk{i}.core_for(owner).write_descheduled(line)[0]",
     ] + ["    " + ln for ln in classify]
     if not fast_write:
@@ -454,8 +456,8 @@ def _flush(sim: SNCTimingSim, c: tuple) -> None:
     stats.insertions += c[13]
     stats.evictions += c[14]
     stats.rejected += c[15]
-    # The reference loop tracks the scheduled core in a local and
-    # writes it back; ``tasks.current`` is that same core.
+    # ``switch_task`` leaves ``sim.core`` on the scheduled core;
+    # ``tasks.current`` is that same core.
     sim.core = sim.tasks.current
 
 

@@ -26,19 +26,15 @@ from repro.secure.context import TaskContexts
 from repro.secure.engine import LatencyParams
 from repro.secure.integrity import IntegrityEventCounts, get_integrity
 from repro.secure.snc import Evicted, SequenceNumberCache, SNCConfig
-from repro.secure.snc_policy import (
-    ReadClass,
-    SNCPolicyCore,
-    SwitchStrategy,
-    WriteClass,
-)
+from repro.secure.snc_policy import ReadClass, SwitchStrategy, WriteClass
 
 #: The compacted trace-event vocabulary the record/replay engine speaks
 #: (:mod:`repro.eval.record`).  Each event is a ``(kind, line, aux)``
 #: triple; ``aux`` is the writeback owner's XOM id for
 #: :data:`EVENT_WRITEBACK`, the incoming task's XOM id for
-#: :data:`EVENT_SWITCH`, and 0 otherwise.  Defined here because
-#: :meth:`SNCTimingSim.replay_events` is the hot consumer.
+#: :data:`EVENT_SWITCH`, and 0 otherwise.  Defined here because the
+#: timing layer's batch pricer (:mod:`repro.timing.batch`) is the hot
+#: consumer.
 EVENT_READ = 0  # critical (load) L2 miss: the CPU stalls on the line
 EVENT_ALLOC = 1  # write-allocate L2 miss: hidden by the store path
 EVENT_WRITEBACK = 2  # dirty L2 eviction reaching memory (aux = owner)
@@ -192,125 +188,6 @@ class SNCTimingSim:
     def reset_counts(self) -> None:
         """Zero the counters while keeping warm state (end of warmup)."""
         self.counts.reset()
-
-    def replay_events(self, events) -> None:
-        """Apply one recorded event stream (:mod:`repro.eval.record`) in
-        a single batch — the replay backend's hot loop.
-
-        Count-identical to feeding the same events through
-        :meth:`read_miss` / :meth:`writeback` / :meth:`switch_task` /
-        :meth:`reset_counts` one at a time (the fused pipeline's path;
-        ``tests/eval/test_replay_differential.py`` pins this), but much
-        faster: the per-event wrapper layers are inlined, classification
-        counters live in locals, and the two common arms — an SNC query
-        hit and an update hit under the base core — skip the decision
-        object entirely.  Variant cores keep their behavior because the
-        inlining stops at :class:`~repro.secure.snc_policy.SNCPolicyCore`
-        hook granularity: ``_read_query_miss`` / ``_write_update_hit`` /
-        ``_write_update_miss`` are dispatched virtually, and a core that
-        overrides ``read``/``write`` themselves falls back to the fully
-        generic calls.
-        """
-        counts = self.counts
-        tasks = self.tasks
-        core = self.core
-        snc = self.snc
-        # Hook-granular inlining is only valid while read/write are the
-        # base implementations (query/update + hook dispatch).  All cores
-        # of one sim share a class, so this is loop-invariant.
-        core_cls = type(core)
-        fast_read = core_cls.read is SNCPolicyCore.read
-        fast_write = core_cls.write is SNCPolicyCore.write
-        base_write_hit = (core_cls._write_update_hit
-                          is SNCPolicyCore._write_update_hit)
-        overlapped_kind = ReadClass.OVERLAPPED
-        seqnum_kind = ReadClass.SEQNUM_MISS
-        update_hit_kind = WriteClass.UPDATE_HIT
-        rejected_kind = WriteClass.REJECTED
-        snc_query = snc.query
-        snc_update = snc.update
-        # The event-kind constants are module globals; the loop below
-        # runs per recorded event, so bind them locally.
-        ev_read, ev_writeback, ev_alloc, ev_switch = (
-            EVENT_READ, EVENT_WRITEBACK, EVENT_ALLOC, EVENT_SWITCH
-        )
-
-        def hoist(core):
-            return (core.xom_id, core.read, core.write,
-                    core._read_query_miss, core._write_update_hit,
-                    core._write_update_miss)
-
-        (xom, core_read, core_write, read_query_miss, write_update_hit,
-         write_update_miss) = hoist(core)
-        overlapped = seqnum_miss = direct = allocate = 0
-        update_hits = update_misses = rejected = 0
-
-        for kind, line, aux in events:
-            if kind == ev_read:
-                if fast_read:
-                    if snc_query(line, xom) is not None:
-                        overlapped += 1
-                        continue
-                    decision_kind = read_query_miss(line)[0]
-                else:
-                    decision_kind = core_read(line)[0]
-                if decision_kind is overlapped_kind:
-                    overlapped += 1
-                elif decision_kind is seqnum_kind:
-                    seqnum_miss += 1
-                else:
-                    direct += 1
-            elif kind == ev_writeback:
-                if aux != xom:
-                    # A descheduled owner's dirty line: route through its
-                    # own core, exactly as :meth:`writeback` does.
-                    decision_kind = tasks.core_for(aux).write_descheduled(
-                        line
-                    )[0]
-                elif fast_write:
-                    seq = snc_update(line, xom)
-                    if seq is not None:
-                        if base_write_hit:
-                            update_hits += 1
-                            continue
-                        decision_kind = write_update_hit(line, seq)[0]
-                    else:
-                        decision_kind = write_update_miss(line)[0]
-                else:
-                    decision_kind = core_write(line)[0]
-                if decision_kind is update_hit_kind:
-                    update_hits += 1
-                else:
-                    update_misses += 1
-                    if decision_kind is rejected_kind:
-                        rejected += 1
-            elif kind == ev_alloc:
-                allocate += 1
-                if fast_read:
-                    if snc_query(line, xom) is None:
-                        read_query_miss(line)
-                else:
-                    core_read(line)
-            elif kind == ev_switch:
-                spilled = tasks.switch_to(aux)
-                counts.switches += 1
-                counts.switch_spills += spilled
-                core = tasks.current
-                (xom, core_read, core_write, read_query_miss,
-                 write_update_hit, write_update_miss) = hoist(core)
-            else:  # EVENT_RESET: the warmup boundary
-                counts.reset()
-                overlapped = seqnum_miss = direct = allocate = 0
-                update_hits = update_misses = rejected = 0
-
-        self.core = core
-        counts.overlapped_reads += overlapped
-        counts.seqnum_miss_reads += seqnum_miss
-        counts.direct_reads += direct
-        counts.allocate_queries += allocate
-        counts.update_hits += update_hits
-        counts.update_misses += update_misses
-        counts.rejected_updates += rejected
 
 
 @dataclass(frozen=True)

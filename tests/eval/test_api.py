@@ -5,11 +5,14 @@ the rule that benchmarks/examples consume the harness only through it.
 from __future__ import annotations
 
 import ast
+import inspect
 import pathlib
 
 import pytest
 
-from repro.eval import api
+from oracle import oracle_task
+
+from repro.eval import api, experiments, scheduler, server
 from repro.eval.pipeline import SimulationScale
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -30,7 +33,7 @@ def test_run_figures_accepts_all_id_spellings():
 
 def test_record_and_price_batch_compose(tmp_path):
     """The facade's phase-1/phase-2 pieces fit together: record a task's
-    stream, batch-price it, and match the per-event reference method."""
+    stream, batch-price it, and match the per-reference oracle."""
     scale = SimulationScale(warmup_refs=12_000, measure_refs=16_000)
     task = api.SimulationTask(
         workload="art",
@@ -42,8 +45,7 @@ def test_record_and_price_batch_compose(tmp_path):
     store.put(api.record_task_for(task), recording)
     restored = store.get(api.record_task_for(task))
     [batched] = api.price_batch([task], restored)
-    configs = {"lru64": api.standard_snc_specs()["lru64"].to_config()}
-    assert batched == restored.replay(configs)
+    assert batched == oracle_task(task)
 
 
 def _eval_imports(path: pathlib.Path) -> set[str]:
@@ -65,3 +67,47 @@ def test_benchmarks_and_examples_import_only_the_facade(path):
     the facade exists to end; only ``repro.eval.api`` is allowed."""
     deep = _eval_imports(path) - {"repro.eval.api"}
     assert not deep, f"{path.name} imports eval internals: {sorted(deep)}"
+
+
+@pytest.mark.parametrize("entry", [
+    api.run_figures,
+    scheduler.run_jobs,
+    experiments.run_all_benchmarks,
+    experiments.run_scenario_tasks,
+    experiments.run_scenarios,
+    experiments.run_integrity_sweep,
+    experiments.run_everything,
+    server.EvalServer,
+], ids=lambda entry: entry.__qualname__)
+def test_entry_points_take_no_engine_or_pool(entry):
+    """There is one engine and one pool; no entry point selects them
+    (``run_tasks`` keeps a ``"replay"``-only ``backend`` keyword)."""
+    params = inspect.signature(entry).parameters
+    assert "backend" not in params
+    assert "pool" not in params
+
+
+#: Names and spellings of the deleted engines, pools and selectors.
+RETIRED = (
+    'backend="fused"', "replay-perevent", "BACKENDS", "POOLS",
+    'pool="spawn"', "--backend", "--pool", "record_source_reference",
+    "REPRO_RECORD_REFERENCE", "simulate_benchmark", "simulate_scenario",
+    "execute_task_replay", "replay_benchmark", "replay_scenario",
+    "def replay_events(",
+)
+
+
+def test_retired_names_appear_nowhere_user_facing():
+    """Code, benchmarks, examples, docs and CI name only the one engine."""
+    roots = [REPO / name for name in ("src", "benchmarks", "examples",
+                                      "docs", ".github")]
+    files = [REPO / "README.md"] + [
+        path for root in roots for path in root.rglob("*")
+        if path.suffix in {".py", ".md", ".yml", ".yaml", ".toml"}
+    ]
+    hits = [
+        f"{path.relative_to(REPO)}: {name}"
+        for path in files for name in RETIRED
+        if name in path.read_text()
+    ]
+    assert not hits, hits

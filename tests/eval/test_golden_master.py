@@ -4,16 +4,13 @@ The seven figure tables plus the §4.3 scenario table and the integrity
 table, rendered at quick scale, are checked into ``tests/golden/``.  Any
 refactor that silently drifts a single counter, calibration constant or
 formatting rule fails here with a diff — the complement of the
-differential suite, which only proves the two backends agree with *each
-other*.
+differential suite, which only proves the engine agrees with the oracle
+on randomized configurations.
 
-The fixtures are produced by the fused reference backend, while the test
-renders through the replay backend (the production default) — so one
-pass pins **both** engines to the same bytes: replay must match what
-fused wrote, and the randomized differential suite ties fused to replay
-everywhere else.
-
-Regenerate after an *intentional* change with::
+The reference writes the goldens, production is checked against them:
+the fixtures are rendered through the per-reference oracle
+(``tests/eval/oracle.py``), while the test renders through the
+production scheduler.  Regenerate after an *intentional* change with::
 
     PYTHONPATH=src python tests/eval/test_golden_master.py
 
@@ -26,20 +23,22 @@ from pathlib import Path
 
 import pytest
 
+from oracle import oracle_task
+
 from repro.eval.experiments import (
     FIGURES_BY_ID,
+    integrity_jobs,
     plan_jobs,
-    run_integrity_sweep,
-    run_scenarios,
     scenario_jobs,
 )
+from repro.eval.jobs import merge_jobs, merge_scenario_jobs
 from repro.eval.pipeline import QUICK_SCALE
 from repro.eval.report import (
     format_figure,
     format_integrity_table,
     format_scenario_table,
 )
-from repro.eval.scheduler import run_jobs
+from repro.eval.scheduler import run_tasks
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -49,35 +48,43 @@ SCENARIO_MIXES = (("art", "vpr"), ("equake", "mcf"))
 SCENARIO_QUANTUM = 2_000
 
 
-def _render_figures(backend: str) -> dict[str, str]:
-    events = run_jobs(plan_jobs(scale=QUICK_SCALE), backend=backend)
+def _by_workload(run, tasks) -> dict:
+    return {task.workload: events
+            for task, events in zip(tasks, run(tasks))}
+
+
+def render_figures(run) -> dict[str, str]:
+    """The seven figure tables from ``run(tasks) -> [events]``."""
+    events = _by_workload(run, merge_jobs(plan_jobs(scale=QUICK_SCALE)))
     return {
         figure_id: format_figure(figure(events)) + "\n"
         for figure_id, figure in FIGURES_BY_ID.items()
     }
 
 
-def _render_scenarios(backend: str) -> str:
-    results = {}
+def render_all(run) -> dict[str, str]:
+    """All nine tables, every task's events computed by ``run``."""
+    tables = render_figures(run)
+    scenarios = {}
     for mix in SCENARIO_MIXES:
-        results.update(run_scenarios(
-            scenario_jobs(mix, quantum=SCENARIO_QUANTUM,
-                          scale=QUICK_SCALE),
-            backend=backend,
+        tasks = merge_scenario_jobs(scenario_jobs(
+            mix, quantum=SCENARIO_QUANTUM, scale=QUICK_SCALE
         ))
-    return format_scenario_table(results) + "\n"
-
-
-def _render_integrity(backend: str) -> str:
-    events = run_integrity_sweep(scale=QUICK_SCALE, backend=backend)
-    return format_integrity_table(events) + "\n"
-
-
-def render_all(backend: str) -> dict[str, str]:
-    tables = _render_figures(backend)
-    tables["scenarios"] = _render_scenarios(backend)
-    tables["integrity"] = _render_integrity(backend)
+        for task, events in zip(tasks, run(tasks)):
+            scenarios[(task.source.label, task.strategy)] = events
+    tables["scenarios"] = format_scenario_table(scenarios) + "\n"
+    tables["integrity"] = format_integrity_table(_by_workload(
+        run, merge_jobs(integrity_jobs(scale=QUICK_SCALE))
+    )) + "\n"
     return tables
+
+
+def run_production(tasks) -> list:
+    return [result.events for result in run_tasks(tasks)]
+
+
+def run_oracle(tasks) -> list:
+    return [oracle_task(task) for task in tasks]
 
 
 def _assert_matches_golden(tables: dict[str, str]) -> None:
@@ -97,19 +104,19 @@ def _assert_matches_golden(tables: dict[str, str]) -> None:
 
 @pytest.fixture(scope="module")
 def rendered_tables():
-    return render_all("replay")
+    return render_all(run_production)
 
 
 def test_tables_match_golden_fixtures(rendered_tables):
     """Figures 3-10 plus the scenario and integrity tables, rendered
-    through the replay backend, must be byte-identical to the fixtures
-    the fused reference wrote."""
+    through the production scheduler, must be byte-identical to the
+    fixtures the oracle wrote."""
     _assert_matches_golden(rendered_tables)
 
 
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, rendered in render_all("fused").items():
+    for name, rendered in render_all(run_oracle).items():
         path = GOLDEN_DIR / f"{name}.txt"
         path.write_text(rendered)
         print(f"wrote {path}")

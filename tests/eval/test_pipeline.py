@@ -2,23 +2,24 @@
 
 import pytest
 
+from oracle import produce
+
 from repro.eval.pipeline import (
     QUICK_SCALE,
     SimulationScale,
-    simulate_benchmark,
     standard_snc_configs,
 )
 from repro.secure.snc import SNCPolicy
 from repro.timing.model import baseline_cycles, slowdown_pct, xom_cycles
 from repro.secure.engine import LatencyParams
-from repro.workloads.spec import BY_NAME
+from repro.workloads.sources import SingleBenchmark
 
 _LAT = LatencyParams()
 
 
 @pytest.fixture(scope="module")
 def vpr_events():
-    return simulate_benchmark(BY_NAME["vpr"], scale=QUICK_SCALE)
+    return produce(SingleBenchmark("vpr"), scale=QUICK_SCALE, alt_l2=True)
 
 
 class TestStandardConfigs:
@@ -54,8 +55,8 @@ class TestSimulateBenchmark:
 
     def test_deterministic(self):
         scale = SimulationScale(warmup_refs=5_000, measure_refs=10_000)
-        a = simulate_benchmark(BY_NAME["art"], scale=scale)
-        b = simulate_benchmark(BY_NAME["art"], scale=scale)
+        a = produce(SingleBenchmark("art"), scale=scale)
+        b = produce(SingleBenchmark("art"), scale=scale)
         assert a.read_misses == b.read_misses
         assert a.snc["lru64"].overlapped_reads == (
             b.snc["lru64"].overlapped_reads
@@ -65,8 +66,8 @@ class TestSimulateBenchmark:
     def test_seed_changes_counts(self):
         # Long enough to get past mcf's deterministic initialization pass.
         scale = SimulationScale(warmup_refs=50_000, measure_refs=30_000)
-        a = simulate_benchmark(BY_NAME["mcf"], scale=scale, seed=1)
-        b = simulate_benchmark(BY_NAME["mcf"], scale=scale, seed=2)
+        a = produce(SingleBenchmark("mcf"), scale=scale, seed=1)
+        b = produce(SingleBenchmark("mcf"), scale=scale, seed=2)
         assert a.read_misses != b.read_misses
 
     def test_bigger_l2_misses_less(self, vpr_events):
@@ -81,7 +82,7 @@ class TestSimulateBenchmark:
     def test_art_fits_its_snc(self):
         """art's footprint is under 16K lines: after warmup every read
         should be an SNC hit."""
-        events = simulate_benchmark(BY_NAME["art"], scale=QUICK_SCALE)
+        events = produce(SingleBenchmark("art"), scale=QUICK_SCALE)
         lru = events.snc["lru64"]
         assert lru.seqnum_miss_reads < 0.01 * max(lru.reads, 1)
 

@@ -1,6 +1,6 @@
 """Tests for the persistent worker pool: lifecycle, crash recovery,
 shared-memory shipping hygiene, in-flight record dedupe, and
-persistent-vs-spawn-vs-inline parity across all three backends."""
+persistent-vs-inline parity."""
 
 import textwrap
 import threading
@@ -30,7 +30,7 @@ from repro.eval.pool import (
 )
 from repro.eval.record import RecordedTask, Recording
 from repro.eval.report import format_pool_stats
-from repro.eval.scheduler import BACKENDS, POOLS, run_tasks
+from repro.eval.scheduler import run_tasks
 from repro.eval.trace_store import TraceStore, recording_to_bytes
 
 try:
@@ -68,7 +68,7 @@ def _jobs(scale=_SCALE, seed=1):
 
 @pytest.fixture(scope="module")
 def inline_results():
-    return run_tasks(merge_jobs(_jobs()), n_jobs=1, backend="replay")
+    return run_tasks(merge_jobs(_jobs()), n_jobs=1)
 
 
 @pytest.fixture(autouse=True)
@@ -82,34 +82,20 @@ def _fresh_global_pool():
 
 
 class TestDifferentialParity:
-    def test_pools_tuple(self):
-        assert POOLS == ("persistent", "spawn")
-
-    def test_unknown_pool_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool"):
-            run_tasks([], pool="threads")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_persistent_vs_spawn_vs_inline(self, backend,
-                                           inline_results):
-        """The acceptance bar: every backend must produce identical
-        events whether tasks run inline, on a fresh spawn pool, or on
-        the warm persistent pool."""
+    def test_persistent_vs_inline(self, inline_results):
+        """The acceptance bar: identical events whether tasks run inline
+        or on the warm persistent pool."""
         tasks = merge_jobs(_jobs())
-        persistent = run_tasks(tasks, n_jobs=2, backend=backend,
-                               pool="persistent")
-        spawn = run_tasks(tasks, n_jobs=2, backend=backend,
-                          pool="spawn")
+        persistent = run_tasks(tasks, n_jobs=2)
         expected = [result.events for result in inline_results]
         assert [r.events for r in persistent] == expected
-        assert [r.events for r in spawn] == expected
 
     def test_pool_is_reused_across_runs(self):
         """The tentpole claim: a second run spawns zero new workers."""
         tasks = merge_jobs(_jobs())
-        run_tasks(tasks, n_jobs=2, backend="replay", pool="persistent")
+        run_tasks(tasks, n_jobs=2)
         spawned_before = pool_stats().workers_spawned
-        run_tasks(tasks, n_jobs=2, backend="replay", pool="persistent")
+        run_tasks(tasks, n_jobs=2)
         assert pool_stats().workers_spawned == spawned_before
 
 
@@ -159,8 +145,7 @@ class TestWorkerDeathRecovery:
         victim.kill()
         victim.join(timeout=10)
         respawned = pool_stats().workers_respawned
-        results = run_tasks(merge_jobs(_jobs()), n_jobs=2,
-                            backend="replay", pool="persistent")
+        results = run_tasks(merge_jobs(_jobs()), n_jobs=2)
         assert [r.events for r in results] == [
             r.events for r in inline_results
         ]
@@ -175,8 +160,7 @@ class TestWorkerDeathRecovery:
         monkeypatch.setenv("_REPRO_POOL_FAULT", "_batch_indexed")
         tasks = merge_jobs(_jobs())
         with pytest.raises(RuntimeError, match="injected worker fault"):
-            run_tasks(tasks, n_jobs=2, backend="replay",
-                      pool="persistent")
+            run_tasks(tasks, n_jobs=2)
         monkeypatch.delenv("_REPRO_POOL_FAULT")
         pool = pool_mod._POOL
         assert pool is not None
@@ -207,8 +191,8 @@ class TestShmHygiene:
         unlink every remaining segment."""
         pool = get_worker_pool(2)
         shipped = self._spy_shipments(monkeypatch, pool)
-        run_tasks(merge_jobs(_jobs()), n_jobs=2, backend="replay",
-                  pool="persistent", trace_store=TraceStore(tmp_path))
+        run_tasks(merge_jobs(_jobs()), n_jobs=2,
+                  trace_store=TraceStore(tmp_path))
         assert shipped, "persistent replay run shipped nothing via shm"
         for name in shipped:  # still published: the cross-run cache
             shared_memory.SharedMemory(name=name).close()
@@ -225,8 +209,7 @@ class TestShmHygiene:
         pool = get_worker_pool(2)
         shipped = self._spy_shipments(monkeypatch, pool)
         with pytest.raises(RuntimeError):
-            run_tasks(merge_jobs(_jobs()), n_jobs=2, backend="replay",
-                      pool="persistent")
+            run_tasks(merge_jobs(_jobs()), n_jobs=2)
         assert shipped
         shutdown_worker_pool()
         for name in shipped:
@@ -238,12 +221,10 @@ class TestShmHygiene:
         the same recordings publishes zero new segments."""
         store = TraceStore(tmp_path)
         tasks = merge_jobs(_jobs())
-        run_tasks(tasks, n_jobs=2, backend="replay", pool="persistent",
-                  trace_store=store)
+        run_tasks(tasks, n_jobs=2, trace_store=store)
         shipments = pool_stats().shm_shipments
         assert shipments > 0
-        run_tasks(tasks, n_jobs=2, backend="replay", pool="persistent",
-                  trace_store=store)
+        run_tasks(tasks, n_jobs=2, trace_store=store)
         assert pool_stats().shm_shipments == shipments
 
     def test_budget_evicts_old_epochs_keeps_recent(self, monkeypatch):
@@ -279,8 +260,7 @@ class TestShmHygiene:
         shm_before = stats.shm_bytes
         pipe_before = stats.pipe_bytes
         store = TraceStore(tmp_path)
-        run_tasks(merge_jobs(_jobs()), n_jobs=2, backend="replay",
-                  pool="persistent", trace_store=store)
+        run_tasks(merge_jobs(_jobs()), n_jobs=2, trace_store=store)
         payload_bytes = sum(
             path.stat().st_size for path in tmp_path.glob("*.trace")
         )
@@ -293,8 +273,7 @@ class TestShmHygiene:
         stats = pool_stats()
         shm_before = stats.shm_shipments
         pipe_before = stats.pipe_shipments
-        results = run_tasks(merge_jobs(_jobs()), n_jobs=2,
-                            backend="replay", pool="persistent")
+        results = run_tasks(merge_jobs(_jobs()), n_jobs=2)
         assert len(results) == len(_WORKLOADS)
         assert stats.shm_shipments == shm_before
         assert stats.pipe_shipments > pipe_before
@@ -366,8 +345,7 @@ class TestInflightDedupe:
         def sweep(tag, delay):
             time.sleep(delay)
             lines = []
-            results = run_tasks(tasks, n_jobs=1, backend="replay",
-                                progress=lines.append)
+            results = run_tasks(tasks, n_jobs=1, progress=lines.append)
             outcomes[tag] = (results, lines)
 
         first = threading.Thread(target=sweep, args=("first", 0.0))

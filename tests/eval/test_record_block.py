@@ -1,14 +1,12 @@
-"""Differential suite: the block-columnar recorder vs the per-ref oracle.
+"""Differential suite: the block-columnar recorder vs the oracle.
 
 :func:`~repro.eval.record.record_source` (block-columnar phase 1) must be
-**byte-identical** to :func:`~repro.eval.record.record_source_reference`
-(the retired per-reference loop, kept as the parity oracle): same event
-columns, same measured aggregates, same serialized wire payload (CRC
-included), same trace-store key.  These tests pin that across a
-randomized matrix — benchmarks, scales (warmup edge values included),
-L2 geometries, block sizes (1 and non-divisors included), interleaved
-scenarios and trace files — plus the dispatch paths (``reference=True``
-kwarg and ``REPRO_RECORD_REFERENCE=1``).
+**byte-identical** to the recording the per-reference oracle
+(:func:`oracle.oracle`) emits: same event columns, same measured
+aggregates, same serialized wire payload (CRC included).  These tests
+pin that across a randomized matrix — benchmarks, scales (warmup edge
+values included), L2 geometries, block sizes (1 and non-divisors
+included), interleaved scenarios and trace files.
 """
 
 from __future__ import annotations
@@ -18,14 +16,11 @@ from dataclasses import fields
 
 import pytest
 
+from oracle import oracle
+
 from repro.errors import ConfigurationError
-from repro.eval import record as record_module
 from repro.eval.pipeline import SimulationScale
-from repro.eval.record import (
-    Recording,
-    record_source,
-    record_source_reference,
-)
+from repro.eval.record import Recording, record_source
 from repro.eval.trace_store import recording_to_bytes
 from repro.workloads.sources import (
     MultiTaskInterleaver,
@@ -54,6 +49,13 @@ SCALES = (
 BLOCK_SIZES = (1, 911, 4096)
 
 
+def record_reference(source, scale, seed=1, include_alt_l2=True,
+                     **l2) -> Recording:
+    """The oracle's recording, with no state machines to drive."""
+    return oracle(source, scale, seed, snc_configs={},
+                  alt_l2=include_alt_l2, **l2).recording
+
+
 def assert_identical(block: Recording, reference: Recording) -> None:
     """Field-for-field equality, then the stronger wire-format check:
     identical serialized bytes (header, CRC, and gzip stream)."""
@@ -68,7 +70,7 @@ class TestRecordDifferential:
     def test_benchmarks_across_scales(self, name):
         source = SingleBenchmark(name)
         for scale in SCALES:
-            reference = record_source_reference(source, scale=scale)
+            reference = record_reference(source, scale=scale)
             block = record_source(source, scale=scale)
             assert_identical(block, reference)
 
@@ -76,7 +78,7 @@ class TestRecordDifferential:
     def test_l2_geometries(self, l2_lines, l2_assoc):
         source = SingleBenchmark("vortex")
         scale = SimulationScale(warmup_refs=35_000, measure_refs=25_000)
-        reference = record_source_reference(
+        reference = record_reference(
             source, scale=scale, l2_lines=l2_lines, l2_assoc=l2_assoc
         )
         block = record_source(
@@ -88,7 +90,7 @@ class TestRecordDifferential:
     def test_block_sizes(self, block_size):
         source = SingleBenchmark("gcc")
         scale = SimulationScale(warmup_refs=40_000, measure_refs=15_000)
-        reference = record_source_reference(source, scale=scale)
+        reference = record_reference(source, scale=scale)
         block = record_source(source, scale=scale,
                               block_size=block_size)
         assert_identical(block, reference)
@@ -101,9 +103,8 @@ class TestRecordDifferential:
         source = MultiTaskInterleaver(["art", "vpr", "gzip"],
                                       quantum=777)
         scale = SimulationScale(warmup_refs=10_000, measure_refs=15_000)
-        reference = record_source_reference(source, scale=scale,
-                                            seed=seed,
-                                            include_alt_l2=False)
+        reference = record_reference(source, scale=scale, seed=seed,
+                                     include_alt_l2=False)
         block = record_source(source, scale=scale, seed=seed,
                               include_alt_l2=False)
         assert_identical(block, reference)
@@ -114,8 +115,8 @@ class TestRecordDifferential:
         the EVENT_RESET placement's worst case."""
         source = MultiTaskInterleaver(["art", "mesa"], quantum=1_000)
         scale = SimulationScale(warmup_refs=4_000, measure_refs=12_000)
-        reference = record_source_reference(source, scale=scale,
-                                            include_alt_l2=False)
+        reference = record_reference(source, scale=scale,
+                                     include_alt_l2=False)
         block = record_source(source, scale=scale,
                               include_alt_l2=False, block_size=1_000)
         assert_identical(block, reference)
@@ -128,8 +129,8 @@ class TestRecordDifferential:
         save_trace(refs, path)
         source = TraceFile(path, name="diff")
         scale = SimulationScale(warmup_refs=2_000, measure_refs=6_000)
-        reference = record_source_reference(source, scale=scale,
-                                            include_alt_l2=False)
+        reference = record_reference(source, scale=scale,
+                                     include_alt_l2=False)
         block = record_source(source, scale=scale,
                               include_alt_l2=False)
         assert_identical(block, reference)
@@ -138,41 +139,6 @@ class TestRecordDifferential:
         source = SingleBenchmark("gzip")
         tiny = SimulationScale(warmup_refs=0, measure_refs=10)
         with pytest.raises(ConfigurationError):
-            record_source_reference(source, scale=tiny)
+            record_reference(source, scale=tiny)
         with pytest.raises(ConfigurationError):
             record_source(source, scale=tiny)
-
-
-class TestDispatch:
-    def test_reference_kwarg_selects_the_oracle(self, monkeypatch):
-        calls = []
-        real = record_module.record_source_reference
-
-        def spying(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(record_module, "record_source_reference",
-                            spying)
-        scale = SimulationScale(warmup_refs=16_000, measure_refs=14_000)
-        record_source(SingleBenchmark("art"), scale=scale,
-                      reference=True)
-        assert calls == [1]
-
-    def test_env_var_selects_the_oracle(self, monkeypatch):
-        calls = []
-        real = record_module.record_source_reference
-
-        def spying(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(record_module, "record_source_reference",
-                            spying)
-        scale = SimulationScale(warmup_refs=16_000, measure_refs=14_000)
-        monkeypatch.setenv("REPRO_RECORD_REFERENCE", "0")
-        record_source(SingleBenchmark("art"), scale=scale)
-        assert calls == []
-        monkeypatch.setenv("REPRO_RECORD_REFERENCE", "1")
-        record_source(SingleBenchmark("art"), scale=scale)
-        assert calls == [1]

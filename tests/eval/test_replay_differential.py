@@ -1,18 +1,16 @@
-"""Differential suite: the replay backend vs the fused reference.
+"""Differential suite: the production engine vs the per-reference oracle.
 
-The record/replay engine (:mod:`repro.eval.record`) must be *count-exact*
-against the fused single-pass loops in :mod:`repro.eval.pipeline` — the
-paper tables are required to come out byte-identical from either backend.
-These tests pin that with randomized configurations: benchmarks, trace
-scales, L2 geometries, SNC geometries, registered schemes, integrity
-specs, multi-task mixes and both §4.3 switch strategies, asserting every
+Production records each source block by block, ships the recording
+through the wire form (:mod:`repro.eval.trace_store`) and batch-prices
+it event-major (:meth:`~repro.eval.record.Recording.replay_batch`);
+:func:`oracle.oracle` drives the L2 and every state machine one
+reference at a time.  The two must be *count-exact*.  These tests pin
+that with randomized configurations: benchmarks, trace scales, L2
+geometries, SNC geometries, registered schemes, integrity specs,
+multi-task mixes and both §4.3 switch strategies, asserting every
 :class:`~repro.timing.model.SNCEventCounts` and
 :class:`~repro.secure.integrity.IntegrityEventCounts` field (and every
 aggregate on :class:`~repro.eval.pipeline.BenchmarkEvents`) matches.
-
-Every replay goes through a serialize/deserialize round trip
-(:mod:`repro.eval.trace_store` wire format) first, so the differential
-also covers what a pool worker or a warm store actually replays.
 """
 
 from __future__ import annotations
@@ -22,19 +20,11 @@ from dataclasses import fields
 
 import pytest
 
+from oracle import oracle
+
 from repro.errors import ConfigurationError
-from repro.eval.pipeline import (
-    SimulationScale,
-    simulate_benchmark,
-    simulate_scenario,
-    standard_snc_configs,
-)
-from repro.eval.record import (
-    ReplayRequest,
-    record_source,
-    replay_benchmark,
-    replay_scenario,
-)
+from repro.eval.pipeline import SimulationScale, standard_snc_configs
+from repro.eval.record import ReplayRequest, record_source
 from repro.eval.trace_store import recording_from_bytes, recording_to_bytes
 from repro.secure.integrity import IntegrityConfig
 from repro.secure.snc import SNCConfig, SNCPolicy
@@ -90,42 +80,42 @@ def _draw_integrity(rng: random.Random):
     return configs, providers
 
 
-def assert_events_identical(fused, replayed):
+def assert_events_identical(expected, priced):
     """Field-for-field equality, reported per counter on failure."""
-    assert replayed.name == fused.name
+    assert priced.name == expected.name
     for attr in ("read_misses", "allocate_misses", "writebacks",
                  "read_misses_big_l2", "allocate_misses_big_l2",
                  "compute_cycles", "xom_slowdown_target",
                  "task_read_misses"):
-        assert getattr(replayed, attr) == getattr(fused, attr), attr
-    assert replayed.snc.keys() == fused.snc.keys()
-    for key, fused_counts in fused.snc.items():
-        replayed_counts = replayed.snc[key]
-        for field in fields(fused_counts):
+        assert getattr(priced, attr) == getattr(expected, attr), attr
+    assert priced.snc.keys() == expected.snc.keys()
+    for key, expected_counts in expected.snc.items():
+        priced_counts = priced.snc[key]
+        for field in fields(expected_counts):
             assert (
-                getattr(replayed_counts, field.name)
-                == getattr(fused_counts, field.name)
+                getattr(priced_counts, field.name)
+                == getattr(expected_counts, field.name)
             ), f"snc[{key}].{field.name}"
-    assert replayed.integrity.keys() == fused.integrity.keys()
-    for key, fused_counts in fused.integrity.items():
-        replayed_counts = replayed.integrity[key]
-        for field in fields(fused_counts):
+    assert priced.integrity.keys() == expected.integrity.keys()
+    for key, expected_counts in expected.integrity.items():
+        priced_counts = priced.integrity[key]
+        for field in fields(expected_counts):
             assert (
-                getattr(replayed_counts, field.name)
-                == getattr(fused_counts, field.name)
+                getattr(priced_counts, field.name)
+                == getattr(expected_counts, field.name)
             ), f"integrity[{key}].{field.name}"
-    assert replayed == fused  # and the dataclass as a whole
+    assert priced == expected  # and the dataclass as a whole
 
 
 def _round_trip(recording):
-    """Replay what a worker or a warm store would see, not the in-memory
+    """Price what a worker or a warm store would see, not the in-memory
     object the recorder returned."""
     return recording_from_bytes(recording_to_bytes(recording))
 
 
 @pytest.mark.parametrize("case", range(6))
 def test_benchmark_differential(case):
-    """Randomized figure-path configurations: fused == replay."""
+    """Randomized figure-path configurations: oracle == production."""
     rng = random.Random(0xD1F + case)
     recording = None
     # Some (benchmark, scale, L2 geometry) draws see zero measured load
@@ -150,25 +140,19 @@ def test_benchmark_differential(case):
             continue
     assert recording is not None, "no valid draw in 20 attempts"
 
-    fused = simulate_benchmark(
-        bench, scale=scale, snc_configs=snc_configs, seed=seed,
-        snc_schemes=snc_schemes, simulate_alt_l2=alt_l2,
+    expected = oracle(
+        SingleBenchmark(bench), scale=scale, seed=seed,
+        snc_configs=snc_configs, snc_schemes=snc_schemes, alt_l2=alt_l2,
         integrity_configs=integrity_configs,
         integrity_providers=integrity_providers,
         l2_lines=l2_lines, l2_assoc=l2_assoc,
-    )
-    replayed = recording.replay(
-        snc_configs, snc_schemes, alt_l2=alt_l2,
-        integrity_configs=integrity_configs,
-        integrity_providers=integrity_providers,
-    )
-    assert_events_identical(fused, replayed)
+    ).events
     batched = recording.replay_batch([ReplayRequest(
         snc_configs=snc_configs, snc_schemes=snc_schemes,
         alt_l2=alt_l2, integrity_configs=integrity_configs,
         integrity_providers=integrity_providers,
     )])[0]
-    assert_events_identical(fused, batched)
+    assert_events_identical(expected, batched)
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -212,76 +196,45 @@ def test_scenario_differential(case):
         for strategy in strategies
     ])
     for strategy, batch_events in zip(strategies, batched):
-        fused = simulate_scenario(
-            MultiTaskInterleaver(names, quantum), scale=scale,
+        expected = oracle(
+            MultiTaskInterleaver(names, quantum), scale=scale, seed=seed,
             snc_configs=snc_configs, snc_schemes=snc_schemes,
-            switch_strategy=strategy, seed=seed,
+            strategy=strategy,
             integrity_configs=integrity_configs,
             integrity_providers=integrity_providers,
             l2_lines=l2_lines, l2_assoc=l2_assoc,
-        )
-        replayed = recording.replay(
-            snc_configs, snc_schemes, strategy=strategy,
-            integrity_configs=integrity_configs,
-            integrity_providers=integrity_providers,
-        )
-        assert_events_identical(fused, replayed)
-        assert_events_identical(fused, batch_events)
+        ).events
+        assert_events_identical(expected, batch_events)
 
 
 def test_single_task_scenario_matches_benchmark_recording():
-    """A single-benchmark scenario replays the *same* recording the
-    figure path records (the degenerate case the fused paths pin), so
-    one recording per benchmark serves both task kinds."""
+    """A single-benchmark scenario prices the *same* recording the
+    figure path records, so one recording per benchmark serves both
+    task kinds."""
     scale = SimulationScale(warmup_refs=5_000, measure_refs=10_000)
     configs = {"lru64": standard_snc_configs()["lru64"]}
     recording = _round_trip(record_source(
         SingleBenchmark(BY_NAME["art"]), scale=scale,
     ))
-    fused = simulate_scenario(
-        SingleBenchmark(BY_NAME["art"]), scale=scale,
-        snc_configs=configs,
-    )
-    replayed = recording.replay(configs, strategy=SwitchStrategy.TAG)
-    assert_events_identical(fused, replayed)
+    expected = oracle(SingleBenchmark(BY_NAME["art"]), scale=scale,
+                      snc_configs=configs,
+                      strategy=SwitchStrategy.TAG).events
     batched = recording.replay_batch([ReplayRequest(
         snc_configs=configs, strategy=SwitchStrategy.TAG,
     )])[0]
-    assert_events_identical(fused, batched)
+    assert_events_identical(expected, batched)
 
 
 def test_standard_configs_full_axis():
     """The five standard SNC configurations — the exact figure-table
-    axis — replay identically, alternate L2 included."""
+    axis — price identically, alternate L2 included."""
     scale = SimulationScale(warmup_refs=25_000, measure_refs=25_000)
-    fused = simulate_benchmark(BY_NAME["mcf"], scale=scale,
-                               snc_configs=standard_snc_configs(),
-                               simulate_alt_l2=True)
+    expected = oracle(SingleBenchmark(BY_NAME["mcf"]), scale=scale,
+                      alt_l2=True).events
     recording = _round_trip(record_source(
         SingleBenchmark(BY_NAME["mcf"]), scale=scale,
     ))
-    replayed = recording.replay(standard_snc_configs(), alt_l2=True)
-    assert_events_identical(fused, replayed)
     batched = recording.replay_batch([ReplayRequest(
         snc_configs=standard_snc_configs(), alt_l2=True,
     )])[0]
-    assert_events_identical(fused, batched)
-
-
-def test_deprecated_free_functions_warn_and_delegate():
-    """``replay_benchmark``/``replay_scenario`` stay for one release as
-    thin shims over the :class:`Recording` methods: same events, plus a
-    :class:`DeprecationWarning` naming the replacement."""
-    scale = SimulationScale(warmup_refs=3_000, measure_refs=6_000)
-    configs = {"lru64": standard_snc_configs()["lru64"]}
-    recording = _round_trip(record_source(
-        SingleBenchmark(BY_NAME["gzip"]), scale=scale,
-    ))
-    with pytest.warns(DeprecationWarning, match="Recording.replay"):
-        wrapped = replay_benchmark(recording, configs)
-    assert wrapped == recording.replay(configs)
-    with pytest.warns(DeprecationWarning, match="Recording.replay"):
-        wrapped = replay_scenario(recording, configs,
-                                  switch_strategy=SwitchStrategy.TAG)
-    assert wrapped == recording.replay(configs,
-                                       strategy=SwitchStrategy.TAG)
+    assert_events_identical(expected, batched)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from oracle import produce_task
+
 from repro.eval.cache import (
     ResultCache,
     code_fingerprint,
@@ -11,7 +13,7 @@ from repro.eval.cache import (
     events_from_dict,
     events_to_dict,
 )
-from repro.eval.jobs import SimulationTask, execute_task, standard_snc_specs
+from repro.eval.jobs import SimulationTask, standard_snc_specs
 from repro.eval.pipeline import SimulationScale
 
 _SCALE = SimulationScale(warmup_refs=5_000, measure_refs=10_000)
@@ -28,7 +30,7 @@ def _task(workload="art", snc_keys=("lru64",), scale=_SCALE, seed=1):
 
 @pytest.fixture(scope="module")
 def art_events():
-    return execute_task(_task())
+    return produce_task(_task())
 
 
 class TestRoundTrip:

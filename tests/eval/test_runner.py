@@ -7,6 +7,7 @@ from repro.eval.experiments import figure5, run_all_benchmarks
 from repro.eval.jobs import standard_snc_specs
 from repro.eval.pipeline import SimulationScale
 from repro.eval.runner import build_parser, main, parse_scale
+from repro.eval.server import build_parser as build_serve_parser
 
 
 @pytest.fixture(scope="module")
@@ -142,41 +143,8 @@ class TestJobsSelection:
         assert "'auto'" in err
 
 
-class TestPoolSelection:
-    def test_valid_pools_accepted(self):
-        parser = build_parser()
-        for name in ("persistent", "spawn"):
-            assert parser.parse_args(["--pool", name]).pool == name
-        assert parser.parse_args([]).pool == "persistent"
-
-    def test_unknown_pool_gets_a_menu(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--pool", "threads"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown pool 'threads'" in err
-        assert "'persistent' (warm process-wide workers" in err
-        assert "'spawn'" in err
-
-
-class TestBackendSelection:
-    def test_valid_backends_accepted(self):
-        parser = build_parser()
-        for name in ("fused", "replay", "replay-perevent"):
-            assert parser.parse_args(["--backend", name]).backend == name
-
-    def test_unknown_backend_gets_a_menu(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--backend", "vectorized"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'vectorized'" in err
-        assert "'replay' (record once, batch-price" in err
-        assert "'replay-perevent'" in err
-        assert "'fused'" in err
-
-    def test_replay_run_reports_trace_store_stats(self, capsys,
-                                                  tmp_path):
+class TestTraceStoreStats:
+    def test_run_reports_trace_store_stats(self, capsys, tmp_path):
         code = main(["--figures", "5", "--scale", "50000:30000",
                      "--no-cache",
                      "--trace-cache-dir", str(tmp_path / "traces")])
@@ -186,8 +154,26 @@ class TestBackendSelection:
         # Cold first run: every distinct recording misses once.
         assert "0 hits" in err
 
-    def test_fused_run_reports_no_trace_stats(self, capsys, tmp_path):
+    def test_no_trace_cache_run_reports_no_trace_stats(self, capsys):
         code = main(["--figures", "5", "--scale", "50000:30000",
-                     "--backend", "fused", "--no-cache"])
+                     "--no-trace-cache", "--no-cache"])
         assert code == 0
         assert "trace store:" not in capsys.readouterr().err
+
+
+class TestRetiredOptions:
+    """There is one engine and one pool, so neither command line takes
+    a selector for them; a script still passing one fails loudly."""
+
+    @pytest.mark.parametrize("parser", [build_parser, build_serve_parser],
+                             ids=["eval", "serve"])
+    @pytest.mark.parametrize("flag,value", [("--backend", "replay"),
+                                            ("--pool", "persistent")],
+                             ids=["backend", "pool"])
+    def test_selector_flag_rejected(self, parser, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            parser().parse_args([flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert flag in err

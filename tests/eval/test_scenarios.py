@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import pytest
 
+from oracle import produce
+
 from repro.eval.cache import ResultCache
 from repro.eval.experiments import (
     SCENARIO_SCHEMES,
@@ -13,22 +15,11 @@ from repro.eval.experiments import (
     scenario_slowdowns,
     scheme_config_key,
 )
-from repro.eval.jobs import (
-    ScenarioJob,
-    SourceSpec,
-    execute_task,
-    merge_scenario_jobs,
-)
-from repro.eval.pipeline import (
-    SimulationScale,
-    simulate_benchmark,
-    simulate_scenario,
-    standard_snc_configs,
-)
+from repro.eval.jobs import ScenarioJob, SourceSpec, merge_scenario_jobs
+from repro.eval.pipeline import SimulationScale, standard_snc_configs
 from repro.eval.scheduler import run_tasks
 from repro.secure.snc_policy import SwitchStrategy
 from repro.workloads.sources import MultiTaskInterleaver, SingleBenchmark
-from repro.workloads.spec import BY_NAME
 
 #: Short but past every init phase for the benchmarks used here.
 SCALE = SimulationScale(warmup_refs=20_000, measure_refs=30_000)
@@ -36,14 +27,14 @@ SCALE = SimulationScale(warmup_refs=20_000, measure_refs=30_000)
 
 def mix_events(strategy, workloads=("art", "vpr"), quantum=1000,
                snc_configs=None, schemes=None):
-    return simulate_scenario(
+    return produce(
         MultiTaskInterleaver(workloads, quantum=quantum),
         scale=SCALE,
         snc_configs=snc_configs or {
             "lru64": standard_snc_configs()["lru64"]
         },
         snc_schemes=schemes,
-        switch_strategy=strategy,
+        strategy=strategy,
     )
 
 
@@ -60,13 +51,10 @@ class TestSingleTaskParity:
                     if key != "norepl64"}
         for strategy, configs in ((SwitchStrategy.TAG, all_configs),
                                   (SwitchStrategy.FLUSH, lru_only)):
-            bench = simulate_benchmark(BY_NAME["art"], scale=SCALE,
-                                       snc_configs=configs,
-                                       simulate_alt_l2=False)
-            scenario = simulate_scenario(SingleBenchmark("art"),
-                                         scale=SCALE,
-                                         snc_configs=configs,
-                                         switch_strategy=strategy)
+            bench = produce(SingleBenchmark("art"), scale=SCALE,
+                            snc_configs=configs)
+            scenario = produce(SingleBenchmark("art"), scale=SCALE,
+                               snc_configs=configs, strategy=strategy)
             expected = asdict(bench)
             got = asdict(scenario)
             assert got.pop("task_read_misses") == {
@@ -76,10 +64,12 @@ class TestSingleTaskParity:
             assert got == expected
 
     def test_one_task_interleave_equals_single_benchmark(self):
-        via_interleaver = simulate_scenario(
-            MultiTaskInterleaver(["art"], quantum=500), scale=SCALE
+        via_interleaver = produce(
+            MultiTaskInterleaver(["art"], quantum=500), scale=SCALE,
+            strategy=SwitchStrategy.TAG,
         )
-        direct = simulate_scenario(SingleBenchmark("art"), scale=SCALE)
+        direct = produce(SingleBenchmark("art"), scale=SCALE,
+                         strategy=SwitchStrategy.TAG)
         left, right = asdict(via_interleaver), asdict(direct)
         assert left.pop("name") == "mix(art)@q500"
         assert right.pop("name") == "art"
@@ -261,12 +251,14 @@ class TestScenarioJobs:
         label = jobs[0].source.label
         assert set(results) == {(label, "flush"), (label, "tag")}
 
-    def test_execute_task_dispatches_on_kind(self):
+    def test_run_tasks_dispatches_on_kind(self):
         jobs = scenario_jobs(["art"], scale=SCALE)
         # A no-switch source has no strategy dimension: one TAG job only.
         (task,) = merge_scenario_jobs(jobs)
         assert task.strategy == "tag"
-        events = execute_task(task)
-        direct = simulate_benchmark(BY_NAME["art"], scale=SCALE,
-                                    simulate_alt_l2=False)
-        assert events.read_misses == direct.read_misses
+        [result] = run_tasks([task])
+        direct = produce(SingleBenchmark("art"), scale=SCALE)
+        assert result.events.read_misses == direct.read_misses
+        assert result.events.task_read_misses == {
+            "0:art": direct.read_misses
+        }

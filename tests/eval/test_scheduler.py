@@ -2,10 +2,12 @@
 
 import pytest
 
+from oracle import oracle_task
+
 from repro.eval.cache import ResultCache
 from repro.eval.jobs import ExperimentJob, standard_snc_specs
 from repro.eval.pipeline import SimulationScale
-from repro.eval.scheduler import BACKENDS, run_jobs, run_tasks
+from repro.eval.scheduler import run_jobs, run_tasks
 from repro.eval.trace_store import TraceStore
 from repro.eval.jobs import merge_jobs
 
@@ -94,8 +96,11 @@ class TestProgress:
         lines: list[str] = []
         run_tasks(merge_jobs(_jobs()), n_jobs=1, cache=cache,
                   progress=lines.append)
-        assert len(lines) == len(_WORKLOADS)
-        assert all("simulated in" in line for line in lines)
+        # Per-task lines; the record and batch phases log their own.
+        task_lines = [line for line in lines
+                      if not line.startswith(("[record", "[batch"))]
+        assert len(task_lines) == len(_WORKLOADS)
+        assert all("batch-priced in" in line for line in task_lines)
         lines.clear()
         run_tasks(merge_jobs(_jobs()), n_jobs=1, cache=cache,
                   progress=lines.append)
@@ -107,27 +112,28 @@ class TestProgress:
 
 
 class TestReplayBackends:
-    """The batch-priced default and the per-event bisection backend."""
+    """The one backend, ``replay``: record once per workload, then
+    batch-price every task of a recording in one pass."""
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             run_tasks([], backend="repla")
 
-    def test_backends_tuple_names_all_three(self):
-        assert BACKENDS == ("fused", "replay", "replay-perevent")
+    @pytest.mark.parametrize("backend", ["fused", "replay-perevent"])
+    def test_retired_backends_rejected(self, backend):
+        with pytest.raises(ValueError, match="the only engine is 'replay'"):
+            run_tasks([], backend=backend)
 
-    def test_batch_backend_matches_fused(self, serial_results):
-        results = run_tasks(merge_jobs(_jobs()), n_jobs=1,
-                            backend="replay")
-        assert [r.events for r in results] == [
-            r.events for r in serial_results
-        ]
+    def test_replay_backend_accepted(self):
+        assert run_tasks([], backend="replay") == []
 
-    def test_perevent_backend_matches_fused(self, serial_results):
-        results = run_tasks(merge_jobs(_jobs()), n_jobs=1,
-                            backend="replay-perevent")
-        assert [r.events for r in results] == [
-            r.events for r in serial_results
+    def test_no_pool_parameter(self):
+        with pytest.raises(TypeError, match="pool"):
+            run_tasks([], pool="persistent")
+
+    def test_batch_pricing_matches_oracle(self, serial_results):
+        assert [r.events for r in serial_results] == [
+            oracle_task(r.task) for r in serial_results
         ]
 
     def test_one_batch_pass_per_recording(self, tmp_path):
@@ -147,13 +153,11 @@ class TestReplayBackends:
         tasks = merge_jobs(jobs)
         assert len(tasks) == 2  # one merged task per workload
         lines: list[str] = []
-        results = run_tasks(tasks, backend="replay",
-                            trace_store=TraceStore(tmp_path),
+        results = run_tasks(tasks, trace_store=TraceStore(tmp_path),
                             progress=lines.append)
         batch_lines = [line for line in lines if "[batch" in line]
         assert len(batch_lines) == 2  # one per recording, not per task
         assert all("batch-priced" in line for line in batch_lines)
-        fused = run_tasks(tasks, backend="fused")
         assert [r.events for r in results] == [
-            r.events for r in fused
+            oracle_task(task) for task in tasks
         ]

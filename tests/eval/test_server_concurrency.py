@@ -18,6 +18,8 @@ import socket
 import threading
 import time
 
+from oracle import produce_task
+
 from repro.eval.cache import events_to_dict
 from repro.eval.client import EvalClient
 from repro.eval.jobs import SNCSpec, SimulationTask, task_to_wire
@@ -78,7 +80,7 @@ class TestSingleFlight:
             [tasks[0], tasks[3], tasks[1]],
             list(reversed(tasks)),
         ]
-        with start_server_thread(n_jobs=1, backend="fused") as handle:
+        with start_server_thread(n_jobs=1) as handle:
             port = handle.server.port
 
             async def hammer():
@@ -123,14 +125,12 @@ class TestSingleFlight:
     def test_results_match_local_execution(self, monkeypatch):
         """What the subscribers got is exactly what a local run
         produces — dedupe never substitutes stale or foreign events."""
-        from repro.eval.jobs import execute_task
-
         task = tiny_task("art")
-        with start_server_thread(n_jobs=1, backend="fused") as handle:
+        with start_server_thread(n_jobs=1) as handle:
             with EvalClient(handle.address) as client:
                 (result,) = client.run_tasks([task])
         assert (events_to_dict(result.events)
-                == events_to_dict(execute_task(task)))
+                == events_to_dict(produce_task(task)))
 
 
 class TestDisconnects:
@@ -139,7 +139,7 @@ class TestDisconnects:
         task for the surviving subscribers."""
         monkeypatch.setenv("_REPRO_SERVE_STALL", "0.5")
         tasks = [tiny_task("art"), tiny_task("vpr")]
-        with start_server_thread(n_jobs=1, backend="fused") as handle:
+        with start_server_thread(n_jobs=1) as handle:
             survivor_results = []
             errors = []
 
@@ -193,7 +193,7 @@ class TestServerStatsLine:
 
         monkeypatch.setenv("_REPRO_SERVE_STALL", "0.3")
         tasks = [tiny_task("art")]
-        with start_server_thread(n_jobs=1, backend="fused") as handle:
+        with start_server_thread(n_jobs=1) as handle:
             port = handle.server.port
 
             async def two_clients():

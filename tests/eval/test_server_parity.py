@@ -1,7 +1,7 @@
 """Server-parity golden test: every table the repo pins — the seven
 figure tables, the §4.3 scenario table and the integrity table — is
 rendered from results fetched through a live serve daemon and
-byte-diffed against the local-path golden masters in ``tests/golden/``.
+byte-diffed against the golden masters in ``tests/golden/``.
 
 This turns the golden fixtures into server-parity oracles: the daemon
 executes through the unchanged scheduler and ships events through the
@@ -18,27 +18,17 @@ import pytest
 
 from test_golden_master import (
     GOLDEN_DIR,
-    SCENARIO_MIXES,
-    SCENARIO_QUANTUM,
     _assert_matches_golden,
+    render_all,
+    render_figures,
 )
 
 from repro.eval.cache import ResultCache
 from repro.eval.client import EvalClient
-from repro.eval.experiments import (
-    FIGURES_BY_ID,
-    index_scenario_results,
-    integrity_jobs,
-    plan_jobs,
-    scenario_jobs,
-)
-from repro.eval.jobs import merge_jobs, merge_scenario_jobs
+from repro.eval.experiments import FIGURES_BY_ID, plan_jobs
+from repro.eval.jobs import merge_jobs
 from repro.eval.pipeline import QUICK_SCALE
-from repro.eval.report import (
-    format_figure,
-    format_integrity_table,
-    format_scenario_table,
-)
+from repro.eval.report import format_figure
 from repro.eval.server import start_server_thread
 from repro.eval.trace_store import TraceStore
 
@@ -47,7 +37,7 @@ from repro.eval.trace_store import TraceStore
 def daemon(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve-parity")
     with start_server_thread(
-        n_jobs=1, backend="replay",
+        n_jobs=1,
         cache=ResultCache(tmp / "cache"),
         trace_store=TraceStore(tmp / "traces"),
     ) as handle:
@@ -60,47 +50,22 @@ def client(daemon):
         yield eval_client
 
 
-def _render_figures_via(client) -> dict[str, str]:
-    tasks = merge_jobs(plan_jobs(scale=QUICK_SCALE))
-    results = client.run_tasks(tasks)
-    events = {result.task.workload: result.events
-              for result in results}
-    return {
-        figure_id: format_figure(figure(events)) + "\n"
-        for figure_id, figure in FIGURES_BY_ID.items()
-    }
-
-
-def _render_scenarios_via(client) -> str:
-    results = {}
-    for mix in SCENARIO_MIXES:
-        tasks = merge_scenario_jobs(scenario_jobs(
-            mix, quantum=SCENARIO_QUANTUM, scale=QUICK_SCALE
-        ))
-        results.update(index_scenario_results(client.run_tasks(tasks)))
-    return format_scenario_table(results) + "\n"
-
-
-def _render_integrity_via(client) -> str:
-    tasks = merge_jobs(integrity_jobs(scale=QUICK_SCALE))
-    results = client.run_tasks(tasks)
-    events = {result.task.workload: result.events
-              for result in results}
-    return format_integrity_table(events) + "\n"
+def _via(client):
+    """``run(tasks) -> [events]`` through the daemon."""
+    def run(tasks):
+        return [result.events for result in client.run_tasks(tasks)]
+    return run
 
 
 @pytest.fixture(scope="module")
 def server_tables(client):
-    tables = _render_figures_via(client)
-    tables["scenarios"] = _render_scenarios_via(client)
-    tables["integrity"] = _render_integrity_via(client)
-    return tables
+    return render_all(_via(client))
 
 
 def test_server_tables_match_golden_fixtures(server_tables):
     """Figures 3-10 plus the scenario and integrity tables, fetched
     through the daemon, must be byte-identical to the fixtures the
-    local fused reference wrote."""
+    oracle wrote."""
     assert GOLDEN_DIR.exists()
     _assert_matches_golden(server_tables)
 
@@ -108,7 +73,7 @@ def test_server_tables_match_golden_fixtures(server_tables):
 def test_second_fetch_is_hot_and_identical(client, server_tables):
     """Refetching through the warm daemon (hot LRU, zero executions)
     renders the very same bytes."""
-    refetched = _render_figures_via(client)
+    refetched = render_figures(_via(client))
     assert client.last_request["counts"]["executed"] == 0
     assert client.last_request["counts"]["hot"] > 0
     for figure_id, rendered in refetched.items():
@@ -120,7 +85,7 @@ def test_parallel_server_run_matches_golden(tmp_path):
     persistent pool, lane-sharded batches) stay byte-identical."""
     figure_ids = ["figure5", "figure10"]
     with start_server_thread(
-        n_jobs=4, backend="replay",
+        n_jobs=4,
         trace_store=TraceStore(tmp_path / "traces"),
     ) as handle:
         with EvalClient(handle.address) as client:

@@ -31,7 +31,7 @@ TINY_TASK = SimulationTask(
 
 @pytest.fixture(scope="module")
 def daemon():
-    with start_server_thread(n_jobs=1, backend="fused") as handle:
+    with start_server_thread(n_jobs=1) as handle:
         yield handle
 
 
@@ -65,6 +65,17 @@ class TestHandshake:
             assert reply["type"] == "hello"
             assert reply["protocol"] == PROTOCOL_VERSION
             assert reply["pid"] > 0
+        finally:
+            sock.close()
+
+    def test_hello_names_no_engine_or_pool(self, daemon):
+        # One engine, one pool: the handshake no longer advertises them.
+        sock, stream = raw_connection(daemon)
+        try:
+            reply = roundtrip(sock, stream, {"type": "hello"})
+            assert "backend" not in reply
+            assert "pool" not in reply
+            assert reply["jobs"] == 1
         finally:
             sock.close()
 
@@ -181,7 +192,7 @@ class TestRequestErrors:
 
 class TestLimits:
     def test_oversized_frame_answered_then_closed(self):
-        with start_server_thread(n_jobs=1, backend="fused",
+        with start_server_thread(n_jobs=1,
                                  max_request_bytes=4096) as handle:
             sock, stream = raw_connection(handle)
             try:
@@ -199,7 +210,7 @@ class TestLimits:
                 assert client.server_info["type"] == "hello"
 
     def test_idle_connection_dropped(self):
-        with start_server_thread(n_jobs=1, backend="fused",
+        with start_server_thread(n_jobs=1,
                                  idle_timeout=0.2) as handle:
             sock, stream = raw_connection(handle)
             try:

@@ -48,7 +48,7 @@ def start_daemon(tmp_path) -> tuple[subprocess.Popen, str]:
     )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.eval", "serve", "--port", "0",
-         "--jobs", "2", "--backend", "replay",
+         "--jobs", "2",
          "--cache-dir", str(tmp_path / "cache"),
          "--trace-cache-dir", str(tmp_path / "traces")],
         env=env, stderr=subprocess.PIPE, text=True,

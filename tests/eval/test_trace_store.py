@@ -18,12 +18,13 @@ from dataclasses import replace
 
 import pytest
 
+from oracle import oracle_task
+
 from repro.eval.jobs import (
     RecordTask,
     SimulationTask,
     SourceSpec,
     execute_record,
-    execute_task,
     record_task_for,
     standard_snc_specs,
 )
@@ -305,16 +306,16 @@ class TestSchedulerIntegration:
     def test_cold_then_warm(self, tmp_path):
         store = TraceStore(tmp_path)
         task = _task()
-        reference = execute_task(task)
+        reference = oracle_task(task)
 
         lines, progress = self._progress()
-        [cold] = run_tasks([task], backend="replay", trace_store=store,
+        [cold] = run_tasks([task], trace_store=store,
                            progress=progress)
         assert cold.events == reference
         assert any("recorded in" in line for line in lines)
 
         lines, progress = self._progress()
-        [warm] = run_tasks([task], backend="replay", trace_store=store,
+        [warm] = run_tasks([task], trace_store=store,
                            progress=progress)
         assert warm.events == reference
         assert any("trace cached" in line for line in lines)
@@ -323,12 +324,12 @@ class TestSchedulerIntegration:
     def test_old_format_recording_rerecorded_transparently(
             self, tmp_path):
         """The full bump story: a pre-bump file is discarded on first
-        touch, the stream is re-recorded, events still match the fused
-        reference, and the warm run after that hits the fresh file."""
+        touch, the stream is re-recorded, events still match the
+        oracle, and the warm run after that hits the fresh file."""
         store = TraceStore(tmp_path)
         task = _task("gzip")
-        reference = execute_task(task)
-        [first] = run_tasks([task], backend="replay", trace_store=store)
+        reference = oracle_task(task)
+        [first] = run_tasks([task], trace_store=store)
         assert first.events == reference
 
         path = store.path_for(record_task_for(task))
@@ -337,14 +338,14 @@ class TestSchedulerIntegration:
         path.write_bytes(bytes(data))
 
         lines, progress = self._progress()
-        [again] = run_tasks([task], backend="replay", trace_store=store,
+        [again] = run_tasks([task], trace_store=store,
                             progress=progress)
         assert again.events == reference
         assert any("recorded in" in line for line in lines)
         assert store.format_upgrades == 1
 
         lines, progress = self._progress()
-        [warm] = run_tasks([task], backend="replay", trace_store=store,
+        [warm] = run_tasks([task], trace_store=store,
                            progress=progress)
         assert warm.events == reference
         assert any("trace cached" in line for line in lines)
@@ -352,11 +353,11 @@ class TestSchedulerIntegration:
     def test_corrupted_recording_rerecords_fresh_events(self, tmp_path):
         store = TraceStore(tmp_path)
         task = _task("vpr")
-        reference = execute_task(task)
-        [first] = run_tasks([task], backend="replay", trace_store=store)
+        reference = oracle_task(task)
+        [first] = run_tasks([task], trace_store=store)
 
         # Garble the stored stream in place; a warm run must detect it,
-        # re-record, and still produce the reference events (stale or
+        # re-record, and still produce the oracle events (stale or
         # garbage counts must never surface).
         path = store.path_for(record_task_for(task))
         data = bytearray(path.read_bytes())
@@ -365,19 +366,19 @@ class TestSchedulerIntegration:
         path.write_bytes(bytes(data))
 
         lines, progress = self._progress()
-        [again] = run_tasks([task], backend="replay", trace_store=store,
+        [again] = run_tasks([task], trace_store=store,
                             progress=progress)
         assert again.events == reference == first.events
         assert any("recorded in" in line for line in lines)
 
     def test_no_trace_store_records_every_run(self, tmp_path):
         """The --no-trace-cache path: no store, nothing persisted, and
-        each run records inline — results still match the fused path."""
+        each run records inline — results still match the oracle."""
         task = _task()
-        reference = execute_task(task)
+        reference = oracle_task(task)
         for _run in (1, 2):
             lines, progress = self._progress()
-            [result] = run_tasks([task], backend="replay",
+            [result] = run_tasks([task],
                                  trace_store=None, progress=progress)
             assert result.events == reference
             assert any("recorded in" in line for line in lines)
