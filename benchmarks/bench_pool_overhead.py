@@ -15,11 +15,17 @@ Two questions, answered with wall-clock numbers in ``BENCH_pool.json``:
   Unsharded (``REPRO_LANE_SHARDS=off``) that is one batch pass on one
   process no matter the job count; sharded (the default) the
   scheduler splits the pass into per-worker lane shards over the same
-  shipped recording.  The headline field is ``shard_warm_speedup``
-  (unsharded warm seconds over sharded warm seconds); CI asserts it
-  stays ≥ 1.5x on its multi-core runners (the payload's ``cpus`` field
-  says what the box could do — a 1-CPU host can't run shards
-  concurrently).
+  shipped recording.  The gated sweep (``shard_sweep``) uses
+  no-replacement and ``otp_split`` geometries, which the batch pricer
+  still simulates lane by lane, so splitting the lanes splits the
+  work.  The headline field is its ``shard_warm_speedup`` (unsharded
+  warm seconds over sharded warm seconds); CI asserts it stays ≥ 1.5x
+  on its multi-core runners (the payload's ``cpus`` field says what
+  the box could do — a 1-CPU host can't run shards concurrently).
+  ``shard_sweep_lru`` times the same shape over 16 plain LRU
+  geometries, ungated: the stack-distance tier prices those lanes in
+  one shared pass, so an unsharded run is already cheap and sharding
+  it mostly adds shipping.
 
 Run as a script to (re)produce ``BENCH_pool.json``::
 
@@ -68,6 +74,8 @@ DEFAULT_JOBS = 4
 #: lane sharding no job count can parallelize it.
 SHARD_WORKLOAD = "equake"
 SHARD_CONFIGS = 16
+#: The sizes each shard sweep draws its geometries from.
+SHARD_SIZES_KB = (4, 8, 16, 32, 64, 128, 256, 512)
 
 
 # ------------------------------------------------------------------ timing
@@ -128,16 +136,32 @@ def time_shipping_modes(figures, scale: SimulationScale, n_jobs: int,
 
 
 def shard_sweep_tasks(scale: SimulationScale,
-                      n_configs: int = SHARD_CONFIGS):
+                      n_configs: int = SHARD_CONFIGS,
+                      per_lane: bool = True):
     """One merged task sweeping ``n_configs`` distinct SNC geometries on
-    a single workload.  Sizes x entry widths keep every entry count a
-    power of two (an SNC invariant)."""
-    specs = tuple(
-        SNCSpec(key=f"lru{kb}e{entry_bytes}", size_bytes=kb * 1024,
-                entry_bytes=entry_bytes)
-        for kb in (4, 8, 16, 32, 64, 128, 256, 512)
-        for entry_bytes in (2, 4)
-    )[:n_configs]
+    a single workload.  ``per_lane`` sweeps no-replacement and
+    ``otp_split`` SNCs over the sizes, lanes the batch pricer simulates
+    one by one; otherwise plain LRU sizes x entry widths, which the
+    stack-distance tier prices together.  Every entry count is a power
+    of two (an SNC invariant)."""
+    if per_lane:
+        specs = tuple(
+            spec
+            for kb in SHARD_SIZES_KB
+            for spec in (
+                SNCSpec(key=f"norepl{kb}", size_bytes=kb * 1024,
+                        policy="no-replacement"),
+                SNCSpec(key=f"split{kb}", size_bytes=kb * 1024,
+                        scheme="otp_split"),
+            )
+        )[:n_configs]
+    else:
+        specs = tuple(
+            SNCSpec(key=f"lru{kb}e{entry_bytes}", size_bytes=kb * 1024,
+                    entry_bytes=entry_bytes)
+            for kb in SHARD_SIZES_KB
+            for entry_bytes in (2, 4)
+        )[:n_configs]
     job = ExperimentJob(figure="shard-sweep", schemes=("otp",),
                         workload=SHARD_WORKLOAD, snc_configs=specs,
                         scale=scale)
@@ -157,7 +181,8 @@ def _shard_run(tasks, n_jobs: int,
 
 def time_shard_modes(scale: SimulationScale, n_jobs: int,
                      trace_store: TraceStore, repeats: int = 3,
-                     n_configs: int = SHARD_CONFIGS) -> dict:
+                     n_configs: int = SHARD_CONFIGS,
+                     per_lane: bool = True) -> dict:
     """Lane sharding on the worst case for recording-level parallelism.
 
     The sweep is one workload x ``n_configs`` configurations — a single
@@ -176,7 +201,7 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     runners (a 1-CPU box still gains ~1.2x — the sharded path skips
     the parent-side recording decode — but can't run shards
     concurrently)."""
-    tasks = shard_sweep_tasks(scale, n_configs)
+    tasks = shard_sweep_tasks(scale, n_configs, per_lane)
     # Warm the recording inline, then the pool (untimed), so the timed
     # runs measure pure pricing.
     _, baseline = _shard_run(tasks, 1, trace_store)
@@ -199,6 +224,7 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     sharded_seconds = statistics.median(sharded_runs)
     return {
         "workload": SHARD_WORKLOAD,
+        "lanes": "per-lane" if per_lane else "lru",
         "n_configs": n_configs,
         "n_jobs": n_jobs,
         "cpus": os.cpu_count() or 1,
@@ -216,7 +242,7 @@ def bench_pool(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
                n_jobs: int = DEFAULT_JOBS, trace_dir: Path = None,
                ) -> dict:
     """The whole payload: warm the store, time the shipping modes, time
-    the shard sweep."""
+    the gated per-lane shard sweep and the ungated LRU one."""
     scale = scale or QUICK_SCALE
     if trace_dir is None:
         with tempfile.TemporaryDirectory(prefix="bench-pool-") as tmp:
@@ -224,9 +250,11 @@ def bench_pool(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
     store = warm_trace_store(figures, scale, trace_dir)
     shipping = time_shipping_modes(figures, scale, n_jobs, store)
     shard = time_shard_modes(scale, n_jobs, store)
+    shard_lru = time_shard_modes(scale, n_jobs, store, per_lane=False)
     shutdown_worker_pool()
     return {"figures": list(figures), "n_jobs": n_jobs,
             "shipping": shipping, "shard_sweep": shard,
+            "shard_sweep_lru": shard_lru,
             "shard_warm_speedup": shard["shard_warm_speedup"]}
 
 
@@ -269,14 +297,20 @@ def test_bench_payload_shape(tmp_path):
     """The JSON fields CI's asserts and the perf ledger rely on."""
     scale = SimulationScale(warmup_refs=30_000, measure_refs=50_000)
     result = bench_pool(("5",), scale, 2, tmp_path)
-    for field in ("shipping", "shard_sweep", "shard_warm_speedup"):
+    for field in ("shipping", "shard_sweep", "shard_sweep_lru",
+                  "shard_warm_speedup"):
         assert field in result
     assert result["shipping"]["shm"]["shipments"] >= 1
-    shard = result["shard_sweep"]
-    for field in ("unsharded_warm_seconds", "sharded_warm_seconds",
-                  "shard_warm_speedup"):
-        assert field in shard
-    assert shard["n_configs"] == SHARD_CONFIGS
+    for sweep, lanes in (("shard_sweep", "per-lane"),
+                         ("shard_sweep_lru", "lru")):
+        shard = result[sweep]
+        for field in ("unsharded_warm_seconds", "sharded_warm_seconds",
+                      "shard_warm_speedup"):
+            assert field in shard
+        assert shard["n_configs"] == SHARD_CONFIGS
+        assert shard["lanes"] == lanes
+    assert (result["shard_warm_speedup"]
+            == result["shard_sweep"]["shard_warm_speedup"])
 
 
 # ------------------------------------------------------------------ script
@@ -307,12 +341,14 @@ def main() -> int:
           f"({shipping['shm']['seconds']:.2f}s sweep) vs pipe "
           f"{shipping['pipe']['bytes'] / 1e6:.1f} MB "
           f"({shipping['pipe']['seconds']:.2f}s sweep)")
-    shard = result["shard_sweep"]
-    print(f"  shard sweep ({shard['workload']} x {shard['n_configs']} "
-          f"configs, 1 task, --jobs {shard['n_jobs']}):")
-    print(f"    unsharded warm {shard['unsharded_warm_seconds']:7.2f}s")
-    print(f"    sharded warm   {shard['sharded_warm_seconds']:7.2f}s "
-          f"({shard['shard_warm_speedup']:.2f}x)")
+    for sweep in ("shard_sweep", "shard_sweep_lru"):
+        shard = result[sweep]
+        print(f"  {sweep} ({shard['workload']} x {shard['n_configs']} "
+              f"{shard['lanes']} configs, 1 task, "
+              f"--jobs {shard['n_jobs']}):")
+        print(f"    unsharded warm {shard['unsharded_warm_seconds']:7.2f}s")
+        print(f"    sharded warm   {shard['sharded_warm_seconds']:7.2f}s "
+              f"({shard['shard_warm_speedup']:.2f}x)")
 
     payload = {
         "benchmark": "pool_overhead",

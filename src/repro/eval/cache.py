@@ -47,7 +47,9 @@ _FINGERPRINT_MODULES = (
     "repro.secure.context",
     "repro.secure.snc",
     "repro.secure.snc_policy",
+    "repro.timing.batch",
     "repro.timing.model",
+    "repro.timing.stack",
     "repro.workloads.patterns",
     "repro.workloads.sources",
     "repro.workloads.spec",

@@ -20,9 +20,15 @@ calls of its own.  This module therefore *generates* the batch loop:
 unrolled inline, counters in flat locals, geometry constants (``ways``,
 set count, XOM id) baked in as literals, and — when the stream contains
 no context switches — the ``(line, xom)`` key tuple built once per
-event and shared by every lane.  Each lane gets the deepest arm its
+event and shared by every lane.  Each lane gets the deepest tier its
 configuration supports:
 
+* **stack** — a deep LRU lane (below) of a stream without context
+  switches whose writebacks are all the lane's own task's is not
+  simulated at all: :func:`repro.timing.stack.price_stack` prices every
+  such lane of the batch from one LRU stack pass per geometry group
+  (stack distances, by the inclusion property).  The deep LRU arms
+  stay for switch streams.
 * **deep** — the base :class:`~repro.secure.snc_policy.SNCPolicyCore`
   hooks over an LRU SNC with the timing simulator's standard
   fetch/spill callbacks: both the ``snc.query`` / ``snc.update`` hit
@@ -36,21 +42,24 @@ configuration supports:
 * **generic** — a core overriding ``read``/``write`` themselves falls
   back to the fully generic calls.
 
-Count-identical to calling the per-event methods on each sim by
-construction: sims never interact, each sees the identical event
-sequence in order, and every generated arm mirrors those methods — the
-same descheduled-owner writeback routing, the same warmup-boundary
-reset (classification and traffic counters zeroed, SNC lifetime stats
-and warm state kept).  The inlined hit/miss tallies are accumulated in
-locals and flushed into ``sim.counts`` / ``snc.stats`` afterwards.
+The generated pass is count-identical to calling the per-event
+methods on each sim by construction: sims never interact, each sees
+the identical event sequence in order, and every generated arm mirrors
+those methods — the same descheduled-owner writeback routing, the
+same warmup-boundary reset (classification and traffic counters zeroed,
+SNC lifetime stats and warm state kept).  The inlined hit/miss tallies
+are accumulated in locals and flushed into ``sim.counts`` /
+``snc.stats`` afterwards.
 ``tests/eval/test_replay_differential.py`` pins the equality against
-the per-reference oracle in ``tests/eval/oracle.py``.
+the per-reference oracle in ``tests/eval/oracle.py`` for both the
+generated pass and the stack tier.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
+from itertools import compress
 
 from repro.secure.snc import SNCPolicy
 from repro.secure.snc_policy import ReadClass, SNCPolicyCore, WriteClass
@@ -61,6 +70,7 @@ from repro.timing.model import (
     EVENT_WRITEBACK,
     SNCTimingSim,
 )
+from repro.timing.stack import price_stack
 
 #: Per-lane counter locals, in flush order (see :func:`_flush`).  The
 #: first block is the :class:`~repro.timing.model.SNCEventCounts`
@@ -461,6 +471,24 @@ def _flush(sim: SNCTimingSim, c: tuple) -> None:
     sim.core = sim.tasks.current
 
 
+def _stack_lanes(sims: Sequence[SNCTimingSim], shapes: Sequence[tuple],
+                 kinds, aux, has_switch: bool) -> list[bool]:
+    """Which lanes the stack-distance tier prices: deep LRU lanes over a
+    switch-free stream whose writebacks all belong to the lane's own
+    task, starting from an SNC nothing was ever inserted into.  Such a
+    lane is a plain single-task LRU cache of lines, which
+    :func:`repro.timing.stack.price_stack` prices exactly."""
+    if has_switch:
+        return [False] * len(sims)
+    candidates = [shape[0] and sim.snc.stats.insertions == 0
+                  for sim, shape in zip(sims, shapes)]
+    if not any(candidates):
+        return candidates
+    owners = set(compress(aux, map(EVENT_WRITEBACK.__eq__, kinds)))
+    return [candidate and owners <= {shape[7]}
+            for candidate, shape in zip(candidates, shapes)]
+
+
 def replay_events_batch(sims: Sequence[SNCTimingSim],
                         integrity_models: Sequence,
                         kinds, lines, aux) -> None:
@@ -470,18 +498,35 @@ def replay_events_batch(sims: Sequence[SNCTimingSim],
     :class:`~repro.eval.record.Recording`.  Scenario sims must have had
     :meth:`~repro.timing.model.SNCTimingSim.begin_task` called already
     (the caller owns flavor setup); this function only walks events.
+
+    Sims are priced once, fresh, as :meth:`~repro.eval.record.
+    Recording.replay_batch` builds them: lanes the stack-distance tier
+    takes (:func:`_stack_lanes`) get their counts and SNC stats but
+    keep an empty SNC and spill table.
     """
     if not sims and not integrity_models:
         return
     has_switch = EVENT_SWITCH in kinds
     shapes = tuple(_lane_shape(sim, has_switch) for sim in sims)
-    fn = _compile(shapes, len(integrity_models), has_switch)
-    results = fn(
-        kinds, lines, aux,
-        [_lane_binds(sim, shape) for sim, shape in zip(sims, shapes)],
-        integrity_models,
-        ReadClass.OVERLAPPED, ReadClass.SEQNUM_MISS,
-        WriteClass.UPDATE_HIT, WriteClass.REJECTED,
-    )
-    for sim, lane_counts in zip(sims, results):
-        _flush(sim, lane_counts)
+    on_stack = _stack_lanes(sims, shapes, kinds, aux, has_switch)
+    batched = [lane for lane, flag in enumerate(on_stack) if not flag]
+    if batched or integrity_models:
+        batch_shapes = tuple(shapes[lane] for lane in batched)
+        fn = _compile(batch_shapes, len(integrity_models), has_switch)
+        results = fn(
+            kinds, lines, aux,
+            [_lane_binds(sims[lane], shapes[lane]) for lane in batched],
+            integrity_models,
+            ReadClass.OVERLAPPED, ReadClass.SEQNUM_MISS,
+            WriteClass.UPDATE_HIT, WriteClass.REJECTED,
+        )
+        for lane, lane_counts in zip(batched, results):
+            _flush(sims[lane], lane_counts)
+    stacked = [lane for lane, flag in enumerate(on_stack) if flag]
+    if stacked:
+        results = price_stack(
+            [(shapes[lane][5], shapes[lane][6]) for lane in stacked],
+            kinds, lines,
+        )
+        for lane, lane_counts in zip(stacked, results):
+            _flush(sims[lane], lane_counts)

@@ -1,0 +1,218 @@
+"""Stack-distance pricing: every no-switch LRU SNC lane of a batch from
+one LRU stack pass per geometry group.
+
+An LRU sequence-number cache that only sees one task's accesses is a
+plain LRU cache of lines: a read, write-allocate or writeback either
+finds the line (and moves it to MRU) or fetches its number from the
+spill table, installs it at MRU and spills the LRU victim of a full
+set.  By the inclusion property of Mattson et al., "Evaluation
+techniques for storage hierarchies" (IBM Systems Journal, 1970), an
+access hits an LRU set of ``ways`` entries exactly when its *stack
+distance* — the number of distinct lines of its set touched since its
+previous access — is below ``ways``.  So one pass that measures each
+access's distance prices every capacity at once, and the batch pricer
+(:mod:`repro.timing.batch`) routes such lanes here instead of
+simulating one ``OrderedDict`` per lane.
+
+Lanes are grouped by set count.  Fully associative lanes (one set)
+share one segmented LRU stack: one ``OrderedDict`` segment per distinct
+capacity, a line's segment index is its distance bucket, and a line
+moving to the top demotes each shallower segment's LRU entry one
+segment down.  Set-associative lanes with the same set count share one
+MRU-first list per set (``line % n_sets``, as the SNC indexes it),
+bounded at the group's largest associativity; a line's list position is
+its distance.  Each access adds one to a histogram bucket keyed by
+phase (before or after the last :data:`~repro.timing.model.EVENT_RESET`),
+kind and distance, and each lane's counters come from the histograms
+afterwards:
+
+* hits are the accesses whose distance is below the lane's ways, and
+  every miss is one table fetch and one insertion;
+* a set never shrinks under LRU, so its *fills* (insertions into a
+  free way) number ``min(distinct lines mapped to it, ways)``, and
+  every other insertion evicts: evictions (= table spills) are misses
+  minus fills.
+
+No sequence numbers and no spill table are built: those only carry
+values, and an LRU lane's counts never depend on them.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, OrderedDict
+from collections.abc import Sequence
+from functools import partial
+from itertools import islice
+
+from repro.timing.model import EVENT_RESET
+
+#: Histogram rows: the access kinds, indexed by their ``EVENT_*`` value
+#: (``EVENT_READ`` 0, ``EVENT_ALLOC`` 1, ``EVENT_WRITEBACK`` 2).
+_KINDS = 3
+
+
+def _phases(kinds) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """``(spans before the last RESET, span after it)`` as ``(start,
+    stop)`` event ranges; the RESET events themselves fall in no span,
+    and a stream without one is all measured window."""
+    bounds = [-1]
+    try:
+        while True:
+            bounds.append(kinds.index(EVENT_RESET, bounds[-1] + 1))
+    except ValueError:
+        pass
+    bounds.append(len(kinds))
+    spans = [(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return spans[:-1], spans[-1]
+
+
+def _fully_associative_pass(segments, sizes, where, kinds, lines, lo, hi,
+                            hist) -> None:
+    """Walk events ``lo:hi`` through the shared segmented stack.
+
+    ``segments[j]`` holds the lines at stack positions ``[capacity[j-1],
+    capacity[j])`` in LRU-to-MRU order and ``where`` maps each held line
+    to its segment; a line held by none has distance bucket
+    ``len(segments)`` (a miss at every capacity)."""
+    last = len(segments)
+    row = last + 1
+    top = segments[0]
+    to_mru = top.move_to_end
+    lookup = where.get
+    for kind, line in zip(islice(kinds, lo, hi), islice(lines, lo, hi)):
+        depth = lookup(line, last)
+        hist[kind * row + depth] += 1
+        if not depth:
+            to_mru(line)
+            continue
+        if depth != last:
+            del segments[depth][line]
+        top[line] = None
+        where[line] = 0
+        level = 0
+        segment = top
+        while len(segment) > sizes[level]:
+            demoted = segment.popitem(False)[0]
+            level += 1
+            if level == last:
+                del where[demoted]
+                break
+            segment = segments[level]
+            segment[demoted] = None
+            where[demoted] = level
+
+
+def _set_associative_pass(sets, n_sets, ways, kinds, lines, lo, hi,
+                          hist) -> None:
+    """Walk events ``lo:hi`` through per-set MRU-first lists of at most
+    ``ways`` lines; a line in no list has distance bucket ``ways``."""
+    row = ways + 1
+    for kind, line in zip(islice(kinds, lo, hi), islice(lines, lo, hi)):
+        mru = sets[line % n_sets]
+        if line in mru:
+            depth = mru.index(line)
+            if depth:
+                del mru[depth]
+                mru.insert(0, line)
+        else:
+            depth = ways
+            mru.insert(0, line)
+            if len(mru) > ways:
+                mru.pop()
+        hist[kind * row + depth] += 1
+
+
+def _fills(set_sizes: Sequence[int], ways: int) -> int:
+    """Insertions into a free way: each set fills ``min(lines, ways)``."""
+    return sum(size if size < ways else ways for size in set_sizes)
+
+
+def _hits_misses(hist: list[int], row: int, hit_buckets: int
+                 ) -> list[tuple[int, int]]:
+    """``(hits, misses)`` per access kind from one phase's histogram."""
+    return [(sum(hist[base:base + hit_buckets]),
+             sum(hist[base + hit_buckets:base + row]))
+            for base in range(0, _KINDS * row, row)]
+
+
+def _lane_counters(before, window, fills_before: int,
+                   fills_total: int) -> tuple:
+    """One lane's counter tuple in the batch pricer's ``_COUNTERS``
+    order: the measured-window counts (zeroed at the RESET), then the
+    lifetime SNC stats (never zeroed)."""
+    life = [(hit + hit_before, miss + miss_before)
+            for (hit, miss), (hit_before, miss_before) in zip(window, before)]
+    (read_hit, read_miss), (alloc_hit, alloc_miss), (wb_hit, wb_miss) = window
+    (life_read_hit, life_read_miss), (life_alloc_hit, life_alloc_miss), \
+        (life_wb_hit, life_wb_miss) = life
+    misses = read_miss + alloc_miss + wb_miss
+    life_misses = life_read_miss + life_alloc_miss + life_wb_miss
+    return (
+        read_hit, read_miss, 0, alloc_hit + alloc_miss, wb_hit, wb_miss, 0,
+        misses, misses - (fills_total - fills_before),
+        life_read_hit + life_alloc_hit, life_read_miss + life_alloc_miss,
+        life_wb_hit, life_wb_miss, life_misses, life_misses - fills_total, 0,
+    )
+
+
+def price_stack(geometries: Sequence[tuple[int, int]], kinds,
+                lines) -> list[tuple]:
+    """Price LRU SNC lanes from their stack distances.
+
+    ``geometries`` holds one ``(n_sets, ways)`` per lane; ``kinds`` /
+    ``lines`` are a recording's event columns, which must hold no
+    :data:`~repro.timing.model.EVENT_SWITCH` (every access is one
+    task's).  Each lane starts with an empty SNC.  Returns one counter
+    tuple per lane, in the batch pricer's ``_COUNTERS`` order, equal to
+    what its generated deep-LRU arms would accumulate.
+    """
+    before, window = _phases(kinds)
+    groups: dict[int, list[int]] = {}
+    for lane, (n_sets, _ways) in enumerate(geometries):
+        groups.setdefault(n_sets, []).append(lane)
+
+    def lines_per_set(seen: set[int]) -> dict:
+        """Distinct lines mapped to each set, per group set count."""
+        return {n_sets: (Counter(map(n_sets.__rmod__, seen)).values()
+                         if n_sets > 1 else [len(seen)])
+                for n_sets in groups}
+
+    seen: set[int] = set()
+    for lo, hi in before:
+        seen.update(islice(lines, lo, hi))
+    sizes_before = lines_per_set(seen)
+    seen.update(islice(lines, *window))
+    sizes_total = lines_per_set(seen)
+    del seen
+
+    results: list = [None] * len(geometries)
+    for n_sets, lanes in groups.items():
+        ways = sorted({geometries[lane][1] for lane in lanes})
+        if n_sets == 1:
+            # Bucket j holds distances in [ways[j-1], ways[j]).
+            row = len(ways) + 1
+            walk = partial(_fully_associative_pass,
+                           [OrderedDict() for _ in ways],
+                           [hi - lo for lo, hi in zip([0, *ways], ways)],
+                           {})
+            hit_buckets = {w: ways.index(w) + 1 for w in ways}
+        else:
+            row = ways[-1] + 1
+            walk = partial(_set_associative_pass,
+                           [[] for _ in range(n_sets)], n_sets, ways[-1])
+            hit_buckets = {w: w for w in ways}
+        hist_before = [0] * (_KINDS * row)
+        hist_window = [0] * (_KINDS * row)
+        for lo, hi in before:
+            walk(kinds, lines, lo, hi, hist_before)
+        walk(kinds, lines, *window, hist_window)
+        for lane in lanes:
+            lane_ways = geometries[lane][1]
+            buckets = hit_buckets[lane_ways]
+            results[lane] = _lane_counters(
+                _hits_misses(hist_before, row, buckets),
+                _hits_misses(hist_window, row, buckets),
+                _fills(sizes_before[n_sets], lane_ways),
+                _fills(sizes_total[n_sets], lane_ways),
+            )
+    return results

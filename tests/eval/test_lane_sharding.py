@@ -14,6 +14,7 @@ from repro.eval.experiments import scenario_jobs
 from repro.eval.jobs import (
     ExperimentJob,
     IntegrityModelSpec,
+    SimulationTask,
     SNCSpec,
     execute_record,
     merge_jobs,
@@ -259,6 +260,29 @@ class TestSchedulerParity:
             assert _digest(results) == inline_digest, (
                 f"diverged at n_jobs={n_jobs}"
             )
+
+    def test_wide_sweep_shards_byte_identically(self, tmp_path):
+        # The wide-warm shape: 15 LRU lanes the stack tier prices and
+        # two lanes (no-replacement, otp_split) left on the batch pass,
+        # dealt into two contiguous shards.
+        specs = [SNCSpec(key=f"lru{kb}k_{assoc or 'fa'}",
+                         size_bytes=kb * 1024, assoc=assoc)
+                 for kb in (16, 32, 64, 128, 256)
+                 for assoc in (None, 32, 8)]
+        specs.append(SNCSpec(key="norepl64", size_bytes=64 * 1024,
+                             policy="no-replacement"))
+        specs.append(SNCSpec(key="lru64+otp_split", scheme="otp_split"))
+        tasks = [SimulationTask(
+            workload="equake", scale=_SCALE,
+            snc_configs=tuple(sorted(specs, key=lambda spec: spec.key)),
+        )]
+        assert total_lane_count(tasks) == 17
+        store = TraceStore(tmp_path)
+        expected = _digest(run_tasks(tasks, n_jobs=1, trace_store=store))
+        shards_before = pool_stats().lane_shards
+        results = run_tasks(tasks, n_jobs=2, trace_store=store)
+        assert _digest(results) == expected
+        assert pool_stats().lane_shards - shards_before == 2
 
     def test_scenario_tasks_shard_too(self):
         # FLUSH and TAG share one recording (the record pass is

@@ -51,7 +51,20 @@ SNC_POOL = (
     ("split", SNCConfig(size_bytes=8 * 1024), "otp_split"),
     ("split_assoc", SNCConfig(size_bytes=16 * 1024, assoc=16),
      "otp_split"),
+    # LRU geometries the stack-distance tier groups: two lanes sharing
+    # a set count (1024), more fully associative capacities, a 64-way
+    # lane and a capacity beyond any recording's distinct lines here.
+    ("lru_16k_8way", SNCConfig(size_bytes=16 * 1024, assoc=8), "otp"),
+    ("lru_64k_32way", SNCConfig(size_bytes=64 * 1024, assoc=32), "otp"),
+    ("lru_4k", SNCConfig(size_bytes=4 * 1024), "otp"),
+    ("lru_32k", SNCConfig(size_bytes=32 * 1024), "otp"),
+    ("lru_64way", SNCConfig(size_bytes=16 * 1024, assoc=64), "otp"),
+    ("lru_256k", SNCConfig(size_bytes=256 * 1024), "otp"),
 )
+
+#: The pool's plain LRU lanes: everything the stack-distance tier takes.
+TIER_KEYS = ("lru_small", "lru_assoc", "lru_16k_8way", "lru_64k_32way",
+             "lru_4k", "lru_32k", "lru_64way", "lru_256k")
 
 INTEGRITY_POOL = (
     ("mac", "mac", 0),
@@ -205,6 +218,28 @@ def test_scenario_differential(case):
             l2_lines=l2_lines, l2_assoc=l2_assoc,
         ).events
         assert_events_identical(expected, batch_events)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_every_tier_geometry_in_one_request(scale):
+    """All of the tier's LRU geometries priced in one request — four
+    fully associative capacities share one stack, 16KB/8-way and
+    64KB/32-way share a set count — with and without a warmup
+    boundary."""
+    pool = {key: config for key, config, _scheme in SNC_POOL}
+    configs = {key: pool[key] for key in TIER_KEYS}
+    expected = oracle(SingleBenchmark(BY_NAME["gzip"]), scale=scale,
+                      snc_configs=configs).events
+    recording = _round_trip(record_source(
+        SingleBenchmark(BY_NAME["gzip"]), scale=scale, include_alt_l2=False,
+    ))
+    assert len(set(recording.lines)) < pool["lru_256k"].n_entries
+    batched = recording.replay_batch([ReplayRequest(
+        snc_configs=configs,
+    )])[0]
+    assert_events_identical(expected, batched)
+    assert batched.snc["lru_4k"].table_spills > 0
+    assert batched.snc["lru_256k"].table_spills == 0
 
 
 def test_single_task_scenario_matches_benchmark_recording():

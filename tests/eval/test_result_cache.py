@@ -1,13 +1,16 @@
 """Tests for the on-disk result cache: hit/miss, invalidation, robustness."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from oracle import produce_task
 
+import repro.timing
 from repro.eval.cache import (
     ResultCache,
+    _fingerprint_module_names,
     code_fingerprint,
     default_cache_dir,
     events_from_dict,
@@ -78,6 +81,16 @@ class TestInvalidation:
             assert cache.key_for(_task()) != before
         finally:
             code_fingerprint.cache_clear()
+
+    def test_fingerprint_covers_every_timing_module(self):
+        # The batch pricer and its stack tier compute every SNC and
+        # integrity count, so an edit to any timing module must miss.
+        timing = Path(repro.timing.__file__).parent
+        modules = {f"repro.timing.{path.stem}"
+                   for path in timing.glob("*.py")
+                   if path.stem != "__init__"}
+        assert modules >= {"repro.timing.batch", "repro.timing.stack"}
+        assert modules <= set(_fingerprint_module_names())
 
     def test_fingerprint_is_stable_hex(self):
         first = code_fingerprint()
