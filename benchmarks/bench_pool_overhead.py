@@ -2,20 +2,19 @@
 
 Two questions, answered with wall-clock numbers in ``BENCH_pool.json``:
 
-* **Shm vs pipe shipping** — a multi-figure sweep run as F separate
+* **Shm shipping** — a multi-figure sweep run as F separate
   invocations at ``--jobs 4`` (the shape of F CLI runs, or F requests
-  to the serve daemon), with shared-memory shipping on (default) and
-  forced off (``REPRO_POOL_NO_SHM=1``): how many recording bytes
-  crossed each transport, and the wall time of each mode.  CI asserts
-  shm moves at least the recording payload bytes out of the pickle
-  pipe.  All runs share one pre-warmed trace store, so the numbers
-  isolate execution-engine overhead, not recording time.
+  to the serve daemon): how many recording bytes crossed shared
+  memory, and the sweep's wall time.  The pytest asserts shm carries
+  at least the recording payload bytes (the pickle pipe carries only
+  the tiny segment references).  All runs share one pre-warmed trace store, so the
+  numbers isolate execution-engine overhead, not recording time.
 * **Lane sharding** — the worst case for recording-level parallelism:
   ONE workload swept across 16 SNC configurations at ``--jobs 4``.
-  Unsharded (``REPRO_LANE_SHARDS=off``) that is one batch pass on one
-  process no matter the job count; sharded (the default) the
-  scheduler splits the pass into per-worker lane shards over the same
-  shipped recording.  The gated sweep (``shard_sweep``) uses
+  Unsharded (the shard planner patched to plan one pass per
+  recording) that is one batch pass on one process no matter the job
+  count; sharded (the default) the scheduler splits the pass into
+  per-worker lane shards over the same shipped recording.  The gated sweep (``shard_sweep``) uses
   no-replacement and ``otp_split`` geometries, which the batch pricer
   still simulates lane by lane, so splitting the lanes splits the
   work.  The headline field is its ``shard_warm_speedup`` (unsharded
@@ -49,6 +48,7 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 from repro.eval.api import (
     ExperimentJob,
@@ -102,37 +102,26 @@ def warm_trace_store(figures, scale: SimulationScale,
     return store
 
 
-def time_shipping_modes(figures, scale: SimulationScale, n_jobs: int,
-                        trace_store: TraceStore) -> dict:
-    """One warm sweep with shm shipping, one with the pipe fallback
-    forced — bytes moved over each transport plus wall time, and the
-    gzip payload bytes the pipe would otherwise carry."""
+def time_shipping(figures, scale: SimulationScale, n_jobs: int,
+                  trace_store: TraceStore) -> dict:
+    """One warm sweep on a fresh pool — the bytes shipped through shared
+    memory plus wall time, and the gzip payload bytes the pickle pipe
+    would otherwise carry."""
     payload_bytes = sum(
         path.stat().st_size
         for path in Path(trace_store.root).glob("*.trace")
     )
     shutdown_worker_pool()
     reset_pool_stats()
-    shm_seconds = _sweep(figures, scale, n_jobs, trace_store)
-    stats = pool_stats()
-    shm = {"seconds": round(shm_seconds, 3),
-           "shipments": stats.shm_shipments,
-           "bytes": stats.shm_bytes,
-           "pipe_bytes": stats.pipe_bytes}
-    shutdown_worker_pool()  # workers must spawn with the override set
-    os.environ["REPRO_POOL_NO_SHM"] = "1"
     try:
-        reset_pool_stats()
-        pipe_seconds = _sweep(figures, scale, n_jobs, trace_store)
+        seconds = _sweep(figures, scale, n_jobs, trace_store)
         stats = pool_stats()
-        pipe = {"seconds": round(pipe_seconds, 3),
-                "shipments": stats.pipe_shipments,
-                "bytes": stats.pipe_bytes,
-                "shm_bytes": stats.shm_bytes}
+        shm = {"seconds": round(seconds, 3),
+               "shipments": stats.shm_shipments,
+               "bytes": stats.shm_bytes}
     finally:
-        del os.environ["REPRO_POOL_NO_SHM"]
         shutdown_worker_pool()
-    return {"payload_bytes": payload_bytes, "shm": shm, "pipe": pipe}
+    return {"payload_bytes": payload_bytes, "shm": shm}
 
 
 def shard_sweep_tasks(scale: SimulationScale,
@@ -179,6 +168,16 @@ def _shard_run(tasks, n_jobs: int,
     return seconds, digest
 
 
+def _unsharded():
+    """Patch the scheduler's shard planner to plan one pass per
+    recording — the unsharded baseline the sharded runs are gated
+    against."""
+    return mock.patch(
+        "repro.eval.scheduler.plan_lane_shards",
+        lambda lane_counts, n_jobs: [1] * len(lane_counts),
+    )
+
+
 def time_shard_modes(scale: SimulationScale, n_jobs: int,
                      trace_store: TraceStore, repeats: int = 3,
                      n_configs: int = SHARD_CONFIGS,
@@ -186,9 +185,9 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     """Lane sharding on the worst case for recording-level parallelism.
 
     The sweep is one workload x ``n_configs`` configurations — a single
-    merged task, a single recording.  Unsharded
-    (``REPRO_LANE_SHARDS=off``) that batch pass runs on one process no
-    matter ``n_jobs``; sharded (the default) the scheduler deals the
+    merged task, a single recording.  Unsharded (:func:`_unsharded`)
+    that batch pass runs on one process no matter ``n_jobs``; sharded
+    (the default) the scheduler deals the
     configuration lanes across the warm pool.  Runs are interleaved (so
     a box-wide load blip hits both modes instead of biasing whichever
     ran during it) and reduced to medians; ``shard_warm_speedup`` is
@@ -208,18 +207,14 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     shutdown_worker_pool()
     _shard_run(tasks, n_jobs, trace_store)
     unsharded_runs, sharded_runs = [], []
-    try:
-        for _ in range(repeats):
-            os.environ["REPRO_LANE_SHARDS"] = "off"
+    for _ in range(repeats):
+        with _unsharded():
             seconds, digest = _shard_run(tasks, n_jobs, trace_store)
-            assert digest == baseline, "unsharded warm diverged"
-            unsharded_runs.append(seconds)
-            os.environ.pop("REPRO_LANE_SHARDS", None)
-            seconds, digest = _shard_run(tasks, n_jobs, trace_store)
-            assert digest == baseline, "sharded warm diverged"
-            sharded_runs.append(seconds)
-    finally:
-        os.environ.pop("REPRO_LANE_SHARDS", None)
+        assert digest == baseline, "unsharded warm diverged"
+        unsharded_runs.append(seconds)
+        seconds, digest = _shard_run(tasks, n_jobs, trace_store)
+        assert digest == baseline, "sharded warm diverged"
+        sharded_runs.append(seconds)
     unsharded_seconds = statistics.median(unsharded_runs)
     sharded_seconds = statistics.median(sharded_runs)
     return {
@@ -248,7 +243,7 @@ def bench_pool(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
         with tempfile.TemporaryDirectory(prefix="bench-pool-") as tmp:
             return bench_pool(figures, scale, n_jobs, Path(tmp))
     store = warm_trace_store(figures, scale, trace_dir)
-    shipping = time_shipping_modes(figures, scale, n_jobs, store)
+    shipping = time_shipping(figures, scale, n_jobs, store)
     shard = time_shard_modes(scale, n_jobs, store)
     shard_lru = time_shard_modes(scale, n_jobs, store, per_lane=False)
     shutdown_worker_pool()
@@ -262,18 +257,14 @@ def bench_pool(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
 
 
 def test_shm_shipping_moves_the_payload_out_of_the_pipe(tmp_path):
-    """Zero-copy accounting: with shm on, the segments must carry at
-    least the recording payload bytes and the pipe must carry none of
-    them; with shm forced off, the payloads ride the pipe instead."""
+    """Zero-copy accounting: the segments must carry at least the
+    recording payload bytes the pickle pipe would otherwise carry."""
     scale = SimulationScale(warmup_refs=30_000, measure_refs=50_000)
     figures = DEFAULT_FIGURES[:1]
     store = warm_trace_store(figures, scale, tmp_path)
-    shipping = time_shipping_modes(figures, scale, DEFAULT_JOBS, store)
+    shipping = time_shipping(figures, scale, DEFAULT_JOBS, store)
     assert shipping["payload_bytes"] > 0
     assert shipping["shm"]["bytes"] >= shipping["payload_bytes"]
-    assert shipping["shm"]["pipe_bytes"] == 0
-    assert shipping["pipe"]["shm_bytes"] == 0
-    assert shipping["pipe"]["bytes"] >= shipping["payload_bytes"]
 
 
 def test_lane_sharding_engages_and_matches(tmp_path):
@@ -338,9 +329,7 @@ def main() -> int:
     shipping = result["shipping"]
     print(f"  shipping: {shipping['shm']['shipments']} shm shipments "
           f"{shipping['shm']['bytes'] / 1e6:.1f} MB "
-          f"({shipping['shm']['seconds']:.2f}s sweep) vs pipe "
-          f"{shipping['pipe']['bytes'] / 1e6:.1f} MB "
-          f"({shipping['pipe']['seconds']:.2f}s sweep)")
+          f"({shipping['shm']['seconds']:.2f}s sweep)")
     for sweep in ("shard_sweep", "shard_sweep_lru"):
         shard = result[sweep]
         print(f"  {sweep} ({shard['workload']} x {shard['n_configs']} "

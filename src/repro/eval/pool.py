@@ -24,19 +24,13 @@ to the evaluation engine:
   bytes through the task pipe.  Shipments are cached across runs
   (recordings are immutable per key), bounded by
   ``REPRO_POOL_SHM_CACHE_MB`` and unlinked on eviction or shutdown —
-  so a warm sweep over the same recordings ships nothing at all.  When
-  shared memory is unavailable (or ``REPRO_POOL_NO_SHM=1``) shipping
-  degrades transparently to the bytes-pipe form; results are identical
-  either way.
+  so a warm sweep over the same recordings ships nothing at all.  A
+  segment that cannot be created raises :class:`OSError`, and the
+  scheduler then prices that run inline, with identical results.
 * **Per-worker decoded-recording LRU** — workers keep the last few
   decoded :class:`~repro.eval.record.Recording` objects keyed by record
   task, so a recording fanned out to K groups decodes once per worker,
   not K times (``REPRO_POOL_LRU_RECORDINGS`` sizes it).
-* **In-flight record dedupe** — :func:`claim_record` serializes
-  concurrent resolvers of the same record task: the first caller
-  becomes the owner and records; everyone else blocks on the claim and
-  reuses the owner's payload, so concurrent sweeps never record the
-  same (source, scale, seed) twice.
 
 Every interesting event is counted in a process-wide :class:`PoolStats`
 (:func:`pool_stats`); the runner prints it via
@@ -56,25 +50,14 @@ import threading
 import traceback
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
-from multiprocessing import connection
-
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # platform without shm support: pipe fallback only
-    shared_memory = None  # type: ignore[assignment]
+from multiprocessing import connection, shared_memory
 
 from repro.eval.record import Recording
 from repro.eval.trace_store import (
     raw_from_wire,
-    recording_from_bytes,
     recording_from_raw,
-    recording_to_bytes,
     recording_to_raw,
 )
-
-#: How long a claim waiter blocks before giving up and re-recording
-#: itself (safety valve — the owner's ``finally`` normally resolves it).
-CLAIM_TIMEOUT_SECONDS = 600.0
 
 
 @dataclass
@@ -94,11 +77,6 @@ class PoolStats:
     #: Recording shipments that went through shared memory (zero-copy).
     shm_shipments: int = 0
     shm_bytes: int = 0
-    #: Shipments that fell back to pickled payload bytes in the pipe.
-    pipe_shipments: int = 0
-    pipe_bytes: int = 0
-    #: Record passes avoided because an identical one was in flight.
-    records_deduped: int = 0
     #: Lane shards priced concurrently (counted only for groups the
     #: scheduler actually split — an unsharded batch pass adds none).
     lane_shards: int = 0
@@ -181,16 +159,10 @@ def remember_recording(key: str, recording: Recording) -> None:
 
 
 def resolve_recording_ref(ref: dict) -> Recording:
-    """A shipped recording reference back to the decoded object.
-
-    Reference forms (built by :meth:`WorkerPool.ship_recording`):
-
-    * ``{"key", "shm", "size"}`` — map the named shared-memory segment
-      and decode the raw columns straight out of it;
-    * ``{"key", "payload"}`` — parse the gzip wire payload (the pipe
-      fallback when shared memory is unavailable).
-
-    Either way the decoded recording lands in the per-process LRU, so a
+    """A shipped ``{"key", "shm", "size"}`` reference (built by
+    :meth:`WorkerPool.ship_recording`) back to the decoded object: map
+    the named shared-memory segment and decode the raw columns straight
+    out of it.  The decoded recording lands in the per-process LRU, so a
     recording fanned out K times decodes once per worker.
     """
     key = ref["key"]
@@ -198,99 +170,22 @@ def resolve_recording_ref(ref: dict) -> Recording:
     if recording is not None:
         _RECORDING_LRU.move_to_end(key)
         return recording
-    name = ref.get("shm")
-    if name is not None:
-        pool = _POOL
-        if pool is not None and key in pool._segments:
-            # Parent-side resolution (inline retry after a worker
-            # death): read the segment we published, no re-attach.
-            segment = pool._segments[key]
+    pool = _POOL
+    if pool is not None and key in pool._segments:
+        # Parent-side resolution (inline retry after a worker death):
+        # read the segment we published, no re-attach.
+        segment = pool._segments[key]
+        recording = recording_from_raw(memoryview(segment.buf)[:ref["size"]])
+    else:
+        segment = shared_memory.SharedMemory(name=ref["shm"])
+        try:
             recording = recording_from_raw(
                 memoryview(segment.buf)[:ref["size"]]
             )
-        else:
-            segment = shared_memory.SharedMemory(name=name)
-            try:
-                recording = recording_from_raw(
-                    memoryview(segment.buf)[:ref["size"]]
-                )
-            finally:
-                segment.close()
-    else:
-        recording = recording_from_bytes(ref["payload"])
+        finally:
+            segment.close()
     remember_recording(key, recording)
     return recording
-
-
-# ------------------------------------------------------ in-flight dedupe
-
-
-class RecordClaim:
-    """One in-flight record pass: the owner records and publishes, every
-    concurrent claimant of the same key blocks on :meth:`wait`."""
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self._done = threading.Event()
-        self._payload: bytes | None = None
-        self._recording: Recording | None = None
-        self._failed = False
-
-    def publish(self, payload: bytes | None = None,
-                recording: Recording | None = None) -> None:
-        """Owner side: hand the result to every waiter and retire the
-        claim from the in-flight registry."""
-        self._payload = payload
-        self._recording = recording
-        _retire_claim(self)
-        self._done.set()
-
-    def fail(self) -> None:
-        """Owner side: the record pass died — release waiters so they
-        fall back to recording on their own."""
-        self._failed = True
-        _retire_claim(self)
-        self._done.set()
-
-    def wait(self, timeout: float = CLAIM_TIMEOUT_SECONDS,
-             ) -> tuple[bytes | None, Recording | None] | None:
-        """Waiter side: the owner's (payload, recording) — either may be
-        ``None`` individually — or ``None`` if the owner failed or the
-        wait timed out (the caller then records itself)."""
-        if not self._done.wait(timeout) or self._failed:
-            return None
-        if self._payload is None and self._recording is None:
-            return None
-        return self._payload, self._recording
-
-
-_INFLIGHT: dict[str, RecordClaim] = {}
-_INFLIGHT_LOCK = threading.Lock()
-
-
-def claim_record(key: str) -> tuple[RecordClaim, bool]:
-    """Claim (or join) the in-flight record pass for ``key``.
-
-    Returns ``(claim, True)`` when the caller is the owner and must
-    record then :meth:`~RecordClaim.publish` (or
-    :meth:`~RecordClaim.fail`) the claim, ``(claim, False)`` when an
-    identical pass is already in flight and the caller should
-    :meth:`~RecordClaim.wait` instead.
-    """
-    with _INFLIGHT_LOCK:
-        claim = _INFLIGHT.get(key)
-        if claim is not None:
-            _STATS.records_deduped += 1
-            return claim, False
-        claim = RecordClaim(key)
-        _INFLIGHT[key] = claim
-        return claim, True
-
-
-def _retire_claim(claim: RecordClaim) -> None:
-    with _INFLIGHT_LOCK:
-        if _INFLIGHT.get(claim.key) is claim:
-            del _INFLIGHT[claim.key]
 
 
 # ------------------------------------------------------------ the workers
@@ -383,7 +278,6 @@ class WorkerPool:
         #: :meth:`shutdown`.
         self._shipped_refs: OrderedDict[str, dict] = OrderedDict()
         self._ref_epoch: dict[str, int] = {}
-        self._ref_bytes: dict[str, int] = {}
         self._shipped_bytes = 0
         self._epoch = 0
         self._segment_seq = itertools.count()
@@ -460,21 +354,16 @@ class WorkerPool:
 
     # -- zero-copy shipping -------------------------------------------
 
-    def _shm_enabled(self) -> bool:
-        return (shared_memory is not None
-                and os.environ.get("REPRO_POOL_NO_SHM", "") != "1")
-
     def ship_recording(self, key: str,
                        recording: Recording | None = None,
                        payload: bytes | None = None) -> dict:
         """Publish one recording for the pool's workers, returning the
-        reference to embed in task items.
+        ``{"key", "shm", "size"}`` reference to embed in task items.
 
-        Preferred form: the packed ``TRACE_FORMAT`` columns in a shared
-        memory segment (workers map the planes directly — nothing but
-        the tiny reference dict crosses the pickle pipe).  Fallback (no
-        shm support, creation failure, or ``REPRO_POOL_NO_SHM=1``): the
-        gzip wire payload rides in the reference itself.
+        The packed ``TRACE_FORMAT`` columns go into a shared memory
+        segment (workers map the planes directly — nothing but the tiny
+        reference dict crosses the pickle pipe).  Raises
+        :class:`OSError` when the segment cannot be created.
 
         Shipments outlive the run that made them: recordings are
         immutable per key, so a later run over the same recordings
@@ -492,61 +381,40 @@ class WorkerPool:
                 self._shipped_refs.move_to_end(key)
                 self._ref_epoch[key] = self._epoch
                 return ref
-        if self._shm_enabled():
-            try:
-                # The wire payload, when on hand, is cheaper to
-                # repackage (one gunzip) than re-packing the column
-                # arrays out of the decoded object.
-                raw = (raw_from_wire(payload)
-                       if payload is not None
-                       else recording_to_raw(recording))
-                segment = shared_memory.SharedMemory(
-                    create=True, size=len(raw),
-                    name=f"repro_pool_{os.getpid()}_"
-                         f"{next(self._segment_seq)}",
-                )
-                segment.buf[:len(raw)] = raw
-            except (OSError, ValueError):
-                pass  # degrade to the pipe form below
-            else:
-                ref = {"key": key, "shm": segment.name,
-                       "size": len(raw)}
-                self._store_ref(key, ref, len(raw), segment)
-                _STATS.shm_shipments += 1
-                _STATS.shm_bytes += len(raw)
-                return ref
-        if payload is None:
-            payload = recording_to_bytes(recording)
-        ref = {"key": key, "payload": payload}
-        self._store_ref(key, ref, len(payload), None)
-        _STATS.pipe_shipments += 1
-        _STATS.pipe_bytes += len(payload)
+        # The wire payload, when on hand, is cheaper to repackage (one
+        # gunzip) than re-packing the column arrays out of the decoded
+        # object.
+        raw = (raw_from_wire(payload) if payload is not None
+               else recording_to_raw(recording))
+        segment = shared_memory.SharedMemory(
+            create=True, size=len(raw),
+            name=f"repro_pool_{os.getpid()}_{next(self._segment_seq)}",
+        )
+        segment.buf[:len(raw)] = raw
+        ref = {"key": key, "shm": segment.name, "size": len(raw)}
+        self._store_ref(key, ref, segment)
+        _STATS.shm_shipments += 1
+        _STATS.shm_bytes += len(raw)
         return ref
 
-    def _store_ref(self, key: str, ref: dict, n_bytes: int,
-                   segment) -> None:
+    def _store_ref(self, key: str, ref: dict, segment) -> None:
         """Cache a shipment and evict over-budget entries (oldest
         first, skipping any touched within the last two runs)."""
         evicted = []
         with self._lock:
-            if segment is not None:
-                self._segments[key] = segment
+            self._segments[key] = segment
             self._shipped_refs[key] = ref
             self._ref_epoch[key] = self._epoch
-            self._ref_bytes[key] = n_bytes
-            self._shipped_bytes += n_bytes
+            self._shipped_bytes += ref["size"]
             budget = _shm_cache_budget_bytes()
             for old_key in list(self._shipped_refs):
                 if self._shipped_bytes <= budget:
                     break
                 if self._ref_epoch[old_key] > self._epoch - 2:
                     continue
-                del self._shipped_refs[old_key]
                 del self._ref_epoch[old_key]
-                self._shipped_bytes -= self._ref_bytes.pop(old_key)
-                old_segment = self._segments.pop(old_key, None)
-                if old_segment is not None:
-                    evicted.append(old_segment)
+                self._shipped_bytes -= self._shipped_refs.pop(old_key)["size"]
+                evicted.append(self._segments.pop(old_key))
         for old_segment in evicted:
             try:
                 old_segment.close()
@@ -563,7 +431,6 @@ class WorkerPool:
             self._segments.clear()
             self._shipped_refs.clear()
             self._ref_epoch.clear()
-            self._ref_bytes.clear()
             self._shipped_bytes = 0
         for segment in segments:
             try:

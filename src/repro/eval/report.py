@@ -226,8 +226,8 @@ def format_trace_stats(store) -> str:
 def format_pool_stats(stats) -> str:
     """One line about the persistent pool
     (:func:`repro.eval.pool.pool_stats`): whether the warm workers were
-    reused or respawned, how recordings reached them (shared memory vs
-    the pickle pipe), and what duplicate work was avoided.  The runner
+    reused or respawned, how many recordings shipped to them through
+    shared memory, and how the work split into lane shards.  The runner
     prints this after every run with ``--jobs`` > 1; CI greps it to pin
     "workers spawned once" and "shm" on the smoke sweeps."""
     if stats.workers_respawned:
@@ -245,12 +245,6 @@ def format_pool_stats(stats) -> str:
         f"{'s' if stats.shm_shipments != 1 else ''} "
         f"({stats.shm_bytes / 1e6:.1f} MB zero-copy)",
     ]
-    if stats.pipe_shipments:
-        parts.append(
-            f"{stats.pipe_shipments} pipe shipment"
-            f"{'s' if stats.pipe_shipments != 1 else ''} "
-            f"({stats.pipe_bytes / 1e6:.1f} MB pickled)"
-        )
     if getattr(stats, "lane_shards", 0):
         per_shard = stats.shard_seconds / stats.lane_shards
         parts.append(
@@ -260,12 +254,6 @@ def format_pool_stats(stats) -> str:
         )
     if stats.tasks_retried:
         parts.append(f"{stats.tasks_retried} retried inline")
-    if stats.records_deduped:
-        parts.append(
-            f"{stats.records_deduped} record pass"
-            f"{'es' if stats.records_deduped != 1 else ''} "
-            "deduped in flight"
-        )
     return ", ".join(parts)
 
 

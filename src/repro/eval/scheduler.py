@@ -7,8 +7,7 @@ The tasks produced by :func:`repro.eval.jobs.merge_jobs` and
   :class:`~repro.eval.jobs.RecordTask`, and each distinct recording is
   resolved once — from the :class:`~repro.eval.trace_store.TraceStore`
   when one is given, else recorded fresh (in parallel when several are
-  missing; identical passes already in flight on another thread are
-  joined, not repeated).
+  missing and ``n_jobs > 1``).
 * **Price.**  Each group is **batch-priced**: one event-major pass
   (:func:`repro.eval.jobs.price_batch`) walks the shared columns once
   while every task's state machines consume them in lock-step.
@@ -17,9 +16,11 @@ The tasks produced by :func:`repro.eval.jobs.merge_jobs` and
 ``n_jobs > 1`` fans the work over the process-wide warm
 :class:`~repro.eval.pool.WorkerPool`: workers are spawned once per
 process and reused across every ``run_tasks``/``run_jobs`` call,
-recordings ship to them through shared memory (zero-copy; pipe
-fallback) and the shipments stay cached on the pool across runs, and a
-crashed worker is respawned with its task retried once inline.  Workers
+recordings ship to them through shared memory (zero-copy) and the
+shipments stay cached on the pool across runs, and a crashed worker is
+respawned with its task retried once inline.  A run whose recordings
+cannot be shipped (no shared memory segment could be created) is priced
+inline instead.  Workers
 re-import :mod:`repro` fresh, so results cannot depend on parent-process
 state.  When recordings alone cannot fill the workers, a recording's
 pricing lanes (one per SNC configuration or integrity model —
@@ -58,7 +59,6 @@ from repro.eval.jobs import (
 )
 from repro.eval.pipeline import BenchmarkEvents
 from repro.eval.pool import (
-    claim_record,
     get_worker_pool,
     pool_stats,
     remember_recording,
@@ -129,31 +129,14 @@ def _batch_indexed(item):
 MIN_SHARD_LANES = 2
 
 
-def _lane_shard_limit() -> int | None:
-    """The ``REPRO_LANE_SHARDS`` override: ``""``/``"auto"`` — adaptive
-    planning (no cap); ``"0"``/``"off"`` — sharding disabled (every
-    group prices in one pass, the pre-sharding behaviour); an integer —
-    at most that many shards per group."""
-    raw = os.environ.get("REPRO_LANE_SHARDS", "").strip().lower()
-    if raw in ("", "auto"):
-        return None
-    if raw in ("0", "off", "no"):
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
-def plan_lane_shards(lane_counts: Sequence[int], n_jobs: int,
-                     limit: int | None = None) -> list[int]:
+def plan_lane_shards(lane_counts: Sequence[int], n_jobs: int) -> list[int]:
     """How many lane shards each recording's batch pass splits into.
 
     Every group starts as one pass (the sharding-free baseline); the
     workers left idle by that plan (``n_jobs - n_groups``) are then
     dealt out greedily to whichever group has the most lanes per shard,
     while a further split still leaves :data:`MIN_SHARD_LANES` lanes in
-    every shard (and respects ``limit``).  Degenerates to all-ones —
+    every shard.  Degenerates to all-ones —
     exactly the historical one-pass-per-recording plan — when groups
     already cover the workers or ``n_jobs == 1``; a 16-lane
     single-workload sweep at 4 jobs plans 4 shards of 4 lanes."""
@@ -163,7 +146,6 @@ def plan_lane_shards(lane_counts: Sequence[int], n_jobs: int,
         candidates = [
             g for g, lanes in enumerate(lane_counts)
             if lanes >= MIN_SHARD_LANES * (shards[g] + 1)
-            and (limit is None or shards[g] < limit)
         ]
         if not candidates:
             break
@@ -248,24 +230,19 @@ def _resolve_recordings(record_tasks: list[RecordTask], n_jobs: int,
                                    dict[RecordTask, Recording]]:
     """Phase 1: one recording per distinct record task, as wire payloads.
 
-    Store hits are served first.  Of the misses, record passes already
-    in flight elsewhere in this process (a concurrent ``run_tasks`` on
-    another thread) are *joined* rather than repeated — this call
-    records only the passes it claimed first, then collects the rest
-    from their owners.  Claimed passes are recorded across the pool
-    when there are several and ``n_jobs > 1``, and written back to the
-    store.  Payloads travel as the bytes the store read or the worker
-    produced (never re-serialized); parsed :class:`Recording` objects
-    come back only where one already exists, callers parse the rest on
-    demand.  A caller that will fan phase 2 out (the payloads ship to
-    workers as-is) passes ``want_recordings=False``: store hits are
-    then read verify-only (:meth:`TraceStore.get_payload`) and the
-    parent never pays the column decode."""
+    Store hits are served first.  The misses are recorded inline, or
+    across the pool when there are several and ``n_jobs > 1``, and
+    written back to the store.  Payloads travel as the bytes the store
+    read or the worker produced (never re-serialized); parsed
+    :class:`Recording` objects come back only where one already exists,
+    callers parse the rest on demand.  A caller that will fan phase 2
+    out (the payloads ship to workers as-is) passes
+    ``want_recordings=False``: store hits are then read verify-only
+    (:meth:`TraceStore.get_payload`) and the parent never pays the
+    column decode."""
     payloads: dict[RecordTask, bytes] = {}
     recordings: dict[RecordTask, Recording] = {}
     pending: list[tuple[int, RecordTask]] = []
-    claims: dict[RecordTask, object] = {}
-    joined: list[tuple[int, RecordTask, object]] = []
     total = len(record_tasks)
 
     def emit(index: int, record_task: RecordTask, how: str) -> None:
@@ -288,81 +265,38 @@ def _resolve_recordings(record_tasks: list[RecordTask], n_jobs: int,
                     payloads[record_task] = payload
                     emit(index, record_task, "trace cached")
                     continue
-        claim, is_owner = claim_record(record_task.config_hash())
-        if is_owner:
-            claims[record_task] = claim
-            pending.append((index, record_task))
-        else:
-            joined.append((index, record_task, claim))
+        pending.append((index, record_task))
 
-    try:
-        if len(pending) <= 1 or n_jobs == 1:
-            # In-process: keep the Recording object itself —
-            # serialization happens only if the store persists it
-            # (inside ``put``) or a pool of replay workers later needs
-            # the wire form.
-            for index, record_task in pending:
-                started = time.perf_counter()
-                recording = execute_record(record_task)
-                seconds = time.perf_counter() - started
-                recordings[record_task] = recording
-                if trace_store is not None:
-                    trace_store.note_record(
-                        record_task.scale.total_refs, seconds
-                    )
-                    # ``put`` returns the wire form it packed, so a
-                    # later pool of replay workers reuses it instead of
-                    # packing the same recording a second time.
-                    payload = trace_store.put(record_task, recording)
-                    if payload is not None:
-                        payloads[record_task] = payload
-                claims.pop(record_task).publish(
-                    payloads.get(record_task), recording
-                )
-                emit(index, record_task, f"recorded in {seconds:.1f}s")
-        else:
-            def on_recorded(index: int, payload: bytes,
-                            seconds: float) -> None:
-                record_task = record_tasks[index]
-                payloads[record_task] = payload
-                if trace_store is not None:
-                    trace_store.note_record(
-                        record_task.scale.total_refs, seconds
-                    )
-                    trace_store.put(record_task, payload=payload)
-                claims.pop(record_task).publish(payload, None)
-                emit(index, record_task, f"recorded in {seconds:.1f}s")
+    if len(pending) <= 1 or n_jobs == 1:
+        # In-process: keep the Recording object itself — serialization
+        # happens only if the store persists it (inside ``put``) or a
+        # pool of replay workers later needs the wire form.
+        for index, record_task in pending:
+            started = time.perf_counter()
+            recording = execute_record(record_task)
+            seconds = time.perf_counter() - started
+            recordings[record_task] = recording
+            if trace_store is not None:
+                trace_store.note_record(record_task.scale.total_refs,
+                                        seconds)
+                # ``put`` returns the wire form it packed, so a later
+                # pool of replay workers reuses it instead of packing
+                # the same recording a second time.
+                payload = trace_store.put(record_task, recording)
+                if payload is not None:
+                    payloads[record_task] = payload
+            emit(index, record_task, f"recorded in {seconds:.1f}s")
+        return payloads, recordings
 
-            _fan_out(pending, _record_indexed, n_jobs, on_recorded)
-    finally:
-        # A record pass that died must not strand its waiters — they
-        # fall back to recording for themselves.
-        for claim in claims.values():
-            claim.fail()
-
-    for index, record_task, claim in joined:
-        shared = claim.wait()
-        if shared is not None:
-            payload, recording = shared
-            if payload is not None:
-                payloads[record_task] = payload
-                if trace_store is not None:
-                    trace_store.put(record_task, payload=payload)
-            if recording is not None:
-                recordings[record_task] = recording
-            emit(index, record_task, "deduped (record in flight)")
-            continue
-        # Owner failed or timed out: record it ourselves after all.
-        started = time.perf_counter()
-        recording = execute_record(record_task)
-        seconds = time.perf_counter() - started
-        recordings[record_task] = recording
+    def on_recorded(index: int, payload: bytes, seconds: float) -> None:
+        record_task = record_tasks[index]
+        payloads[record_task] = payload
         if trace_store is not None:
             trace_store.note_record(record_task.scale.total_refs, seconds)
-            payload = trace_store.put(record_task, recording)
-            if payload is not None:
-                payloads[record_task] = payload
+            trace_store.put(record_task, payload=payload)
         emit(index, record_task, f"recorded in {seconds:.1f}s")
+
+    _fan_out(pending, _record_indexed, n_jobs, on_recorded)
     return payloads, recordings
 
 
@@ -425,8 +359,8 @@ def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
     cover the workers, lane shards within them when they don't (a
     single-recording sweep still fills the pool).  Each shard prices a
     contiguous lane subset over the same shipped recording (riding the
-    pool's dedupe/retry/respawn machinery as-is — a dead worker
-    re-prices only its shard), and the group's results are merged back
+    pool's retry/respawn machinery as-is — a dead worker re-prices only
+    its shard), and the group's results are merged back
     per task in canonical lane order
     (:func:`~repro.eval.jobs.merge_shard_events`), byte-identical to
     the one-pass path.  The group's wall time — summed across its
@@ -446,7 +380,7 @@ def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
     plan = plan_lane_shards(
         [sum(len(task_lanes(task)) for _index, task in groups[rt])
          for rt in record_tasks],
-        n_jobs, _lane_shard_limit(),
+        n_jobs,
     )
     fanning_out = n_jobs > 1 and sum(plan) > 1
     payloads, recordings = _resolve_recordings(
@@ -455,6 +389,24 @@ def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
         # the parent skips the column decode for store hits entirely.
         want_recordings=not fanning_out,
     )
+    if fanning_out:
+        workers = min(n_jobs, sum(plan))
+        worker_pool = get_worker_pool(workers)
+        try:
+            # Shared-memory shipments are cached on the pool across runs
+            # and unlinked by its budget or shutdown.
+            refs = {
+                record_task: worker_pool.ship_recording(
+                    record_task.config_hash(),
+                    recording=recordings.get(record_task),
+                    payload=payloads.get(record_task),
+                )
+                for record_task in record_tasks
+            }
+        except OSError:
+            # No segment to ship through: price the run inline.
+            fanning_out = False
+            plan = [1] * len(record_tasks)
     n_groups = len(record_tasks)
     group_shards = [
         _shard_members(groups[record_task], plan[group_index])
@@ -514,9 +466,10 @@ def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
             finish(group_index, pending_shards.pop(group_index))
 
     if not fanning_out:
-        # Inline: parse each payload at most once (store hits arrive
-        # parsed already; fresh pool recordings arrive as wire bytes),
-        # and price each group in one unsharded pass.
+        # Inline: parse each payload at most once (inline store hits
+        # arrive parsed already; pool recordings and payloads read for
+        # a shipment that failed arrive as wire bytes), and price each
+        # group in one unsharded pass.
         for group_index, record_task in enumerate(record_tasks):
             recording = recordings.get(record_task)
             if recording is None:
@@ -529,19 +482,6 @@ def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
                       events_list, time.perf_counter() - started)
         return
 
-    # Shared-memory shipments (zero-copy; pipe fallback inside
-    # ``ship_recording``) are cached on the pool across runs and
-    # unlinked by its budget or shutdown.
-    workers = min(n_jobs, sum(plan))
-    worker_pool = get_worker_pool(workers)
-    refs = {
-        record_task: worker_pool.ship_recording(
-            record_task.config_hash(),
-            recording=recordings.get(record_task),
-            payload=payloads.get(record_task),
-        )
-        for record_task in record_tasks
-    }
     items = [
         (group_index, shard_index,
          tuple((task, lanes) for _index, task, lanes in shard),

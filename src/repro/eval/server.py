@@ -18,8 +18,7 @@ per line (full reference in ``docs/serve.md``):
 
 Identical tasks are **single-flight across clients**: a submit first
 consults the hot LRU, then joins any in-flight future for the same
-``config_hash`` (one simulation, N subscribers — the task-level
-extension of the pool's claim/wait record dedupe), and only then
+``config_hash`` (one simulation, N subscribers), and only then
 enqueues work.  Batches run one at a time on an executor thread through
 the unchanged :func:`~repro.eval.scheduler.run_tasks`, so every event
 set a client receives is byte-identical to a local run.

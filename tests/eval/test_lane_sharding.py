@@ -9,6 +9,7 @@ import random
 import pytest
 
 from repro.eval import pool as pool_mod
+from repro.eval import scheduler as scheduler_mod
 from repro.eval.cache import events_to_dict
 from repro.eval.experiments import scenario_jobs
 from repro.eval.jobs import (
@@ -30,7 +31,6 @@ from repro.eval.pool import pool_stats, shutdown_worker_pool
 from repro.eval.report import format_pool_stats, format_trace_stats
 from repro.eval.scheduler import (
     MIN_SHARD_LANES,
-    _lane_shard_limit,
     _shard_members,
     plan_lane_shards,
     run_tasks,
@@ -88,28 +88,35 @@ class TestPlanLaneShards:
         assert plan_lane_shards([2 * MIN_SHARD_LANES - 1], 4) == [1]
         assert plan_lane_shards([2 * MIN_SHARD_LANES], 4) == [2]
 
-    def test_limit_caps_every_group(self):
-        assert plan_lane_shards([16], 4, limit=1) == [1]
-        assert plan_lane_shards([16], 8, limit=3) == [3]
-
     def test_empty_plan(self):
         assert plan_lane_shards([], 4) == []
 
+    def test_jobs_cap_every_group(self):
+        # The worker count is the only cap on a plan.
+        assert plan_lane_shards([16], 2) == [2]
+        assert plan_lane_shards([16], 3) == [3]
+        assert plan_lane_shards([16], 8) == [8]
+        assert plan_lane_shards([16], 9) == [8]
 
-class TestLaneShardLimit:
-    @pytest.mark.parametrize("raw,expected", [
-        ("", None), ("auto", None), ("AUTO", None),
-        ("off", 1), ("0", 1), ("no", 1),
-        ("3", 3), ("1", 1), ("-2", 1),
-        ("banana", None),
+    @pytest.mark.parametrize("lane_counts,n_jobs", [
+        ([17], 2), ([17], 4), ([3, 17], 4), ([5, 5, 5], 8),
+        ([1, 1, 30], 6), ([9, 2, 4, 7], 5), ([40], 64), ([2, 2], 1),
     ])
-    def test_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_LANE_SHARDS", raw)
-        assert _lane_shard_limit() == expected
-
-    def test_unset_means_adaptive(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LANE_SHARDS", raising=False)
-        assert _lane_shard_limit() is None
+    def test_plan_invariants(self, lane_counts, n_jobs):
+        """Every group keeps at least one pass, splits never leave a
+        shard under MIN_SHARD_LANES lanes, the plan uses no more passes
+        than there are workers (or groups), and it stops only when the
+        workers run out or no group can split again."""
+        plan = plan_lane_shards(lane_counts, n_jobs)
+        assert len(plan) == len(lane_counts)
+        assert all(shards >= 1 for shards in plan)
+        for lanes, shards in zip(lane_counts, plan):
+            if shards > 1:
+                assert lanes >= MIN_SHARD_LANES * shards
+        assert sum(plan) <= max(n_jobs, len(lane_counts))
+        if sum(plan) < n_jobs:
+            assert all(lanes < MIN_SHARD_LANES * (shards + 1)
+                       for lanes, shards in zip(lane_counts, plan))
 
 
 class TestShardMembers:
@@ -243,9 +250,13 @@ class TestSchedulerParity:
                                                      tmp_path,
                                                      inline_digest):
         tasks = _sweep_tasks(6)
-        for forced, expected in (("off", 0), ("3", 3)):
-            monkeypatch.setenv("REPRO_LANE_SHARDS", forced)
-            store = TraceStore(tmp_path / forced)
+        for forced, expected in ((1, 0), (3, 3)):
+            monkeypatch.setattr(
+                scheduler_mod, "plan_lane_shards",
+                lambda lane_counts, n_jobs, forced=forced:
+                    [forced] * len(lane_counts),
+            )
+            store = TraceStore(tmp_path / str(forced))
             before = pool_stats().lane_shards
             results = run_tasks(tasks, n_jobs=4, trace_store=store)
             assert _digest(results) == inline_digest

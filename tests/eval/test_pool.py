@@ -1,11 +1,15 @@
 """Tests for the persistent worker pool: lifecycle, crash recovery,
-shared-memory shipping hygiene, in-flight record dedupe, and
+shared-memory shipping hygiene, concurrent runs, and
 persistent-vs-inline parity."""
 
+import glob
+import json
+import os
 import textwrap
 import threading
 import time
 from array import array
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -21,9 +25,9 @@ from repro.eval.jobs import (
 from repro.eval.pipeline import SimulationScale
 from repro.eval.pool import (
     WorkerPool,
-    claim_record,
     get_worker_pool,
     pool_stats,
+    pool_stats_dict,
     remember_recording,
     resolve_recording_ref,
     shutdown_worker_pool,
@@ -32,11 +36,6 @@ from repro.eval.record import RecordedTask, Recording
 from repro.eval.report import format_pool_stats
 from repro.eval.scheduler import run_tasks
 from repro.eval.trace_store import TraceStore, recording_to_bytes
-
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - always present on CI platforms
-    shared_memory = None
 
 _SCALE = SimulationScale(warmup_refs=20_000, measure_refs=20_000)
 _WORKLOADS = ("art", "vpr", "equake")
@@ -168,8 +167,6 @@ class TestWorkerDeathRecovery:
                    for worker in pool._workers)
 
 
-@pytest.mark.skipif(shared_memory is None,
-                    reason="platform lacks multiprocessing.shared_memory")
 class TestShmHygiene:
     def _spy_shipments(self, monkeypatch, pool):
         shipped = []
@@ -177,8 +174,7 @@ class TestShmHygiene:
 
         def spy(key, recording=None, payload=None):
             ref = original(key, recording=recording, payload=payload)
-            if "shm" in ref:
-                shipped.append(ref["shm"])
+            shipped.append(ref["shm"])
             return ref
 
         monkeypatch.setattr(pool, "ship_recording", spy)
@@ -258,7 +254,6 @@ class TestShmHygiene:
         otherwise have carried (the gzip wire payloads)."""
         stats = pool_stats()
         shm_before = stats.shm_bytes
-        pipe_before = stats.pipe_bytes
         store = TraceStore(tmp_path)
         run_tasks(merge_jobs(_jobs()), n_jobs=2, trace_store=store)
         payload_bytes = sum(
@@ -266,27 +261,98 @@ class TestShmHygiene:
         )
         assert payload_bytes > 0
         assert stats.shm_bytes - shm_before >= payload_bytes
-        assert stats.pipe_bytes == pipe_before
 
-    def test_pipe_fallback_when_shm_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_NO_SHM", "1")
+    def test_ship_failure_raises_and_publishes_nothing(self,
+                                                       monkeypatch):
+        """A segment that cannot be created surfaces as OSError from
+        ship_recording, with no counter moved and nothing cached."""
+        pool = get_worker_pool(1)
+
+        def no_segments(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_segments)
         stats = pool_stats()
-        shm_before = stats.shm_shipments
-        pipe_before = stats.pipe_shipments
-        results = run_tasks(merge_jobs(_jobs()), n_jobs=2)
-        assert len(results) == len(_WORKLOADS)
-        assert stats.shm_shipments == shm_before
-        assert stats.pipe_shipments > pipe_before
+        shipments, shipped_bytes = stats.shm_shipments, stats.shm_bytes
+        with pytest.raises(OSError):
+            pool.ship_recording("hygiene-fail",
+                                recording=_tiny_recording("fail"))
+        assert (stats.shm_shipments, stats.shm_bytes) == (
+            shipments, shipped_bytes)
+        assert "hygiene-fail" not in pool._shipped_refs
+        assert "hygiene-fail" not in pool._segments
+
+    def test_same_key_ships_once(self):
+        """A second shipment of a key returns the cached reference
+        without publishing another segment."""
+        pool = get_worker_pool(1)
+        recording = _tiny_recording("once")
+        shipments = pool_stats().shm_shipments
+        first = pool.ship_recording("hygiene-once", recording=recording)
+        second = pool.ship_recording("hygiene-once", recording=recording)
+        assert second is first
+        assert pool_stats().shm_shipments == shipments + 1
+
+    def test_payload_and_recording_ship_the_same_columns(self):
+        """Shipping from the gzip wire payload or from the decoded
+        object publishes the same raw columns."""
+        pool = get_worker_pool(1)
+        recording = _tiny_recording("forms", event_count=100)
+        from_object = pool.ship_recording("hygiene-object",
+                                          recording=recording)
+        from_payload = pool.ship_recording(
+            "hygiene-payload", payload=recording_to_bytes(recording))
+        assert from_object["size"] == from_payload["size"]
+        size = from_object["size"]
+        object_buf = pool._segments["hygiene-object"].buf[:size]
+        payload_buf = pool._segments["hygiene-payload"].buf[:size]
+        assert bytes(object_buf) == bytes(payload_buf)
+        pool_mod._RECORDING_LRU.pop("hygiene-payload", None)
+        resolved = resolve_recording_ref(from_payload)
+        pool_mod._RECORDING_LRU.pop("hygiene-payload", None)
+        assert resolved.event_count == recording.event_count
+        assert list(resolved.lines) == list(recording.lines)
+
+    def test_shm_failure_prices_the_run_inline(self, monkeypatch,
+                                               tmp_path, inline_results):
+        """A segment that cannot be created fails the shipment, and the
+        scheduler prices the run inline instead: identical events,
+        nothing dispatched, and no segment left behind.  The store is
+        warm, so the recordings reach the inline loop as the wire
+        payloads read for shipping."""
+        store = TraceStore(tmp_path)
+        run_tasks(merge_jobs(_jobs()), n_jobs=1, trace_store=store)
+        real = shared_memory.SharedMemory
+
+        def no_segments(*args, create=False, **kwargs):
+            if create:
+                raise OSError(28, "No space left on device")
+            return real(*args, create=create, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_segments)
+        dispatched = pool_stats().tasks_dispatched
+        results = run_tasks(merge_jobs(_jobs()), n_jobs=2,
+                            trace_store=store)
+        assert [r.events for r in results] == [
+            r.events for r in inline_results
+        ]
+        assert pool_stats().tasks_dispatched == dispatched
+        shutdown_worker_pool()
+        assert not glob.glob(f"/dev/shm/repro_pool_{os.getpid()}_*")
 
 
 class TestRecordingLRU:
     def test_ref_resolves_once_per_process(self):
         record_task = record_task_for(merge_jobs(_jobs())[0])
         recording = execute_record(record_task)
-        ref = {"key": "test-lru-key",
-               "payload": recording_to_bytes(recording)}
-        first = resolve_recording_ref(ref)
-        second = resolve_recording_ref(ref)
+        pool = WorkerPool(1)
+        try:
+            ref = pool.ship_recording("test-lru-key", recording=recording)
+            pool_mod._RECORDING_LRU.pop("test-lru-key", None)
+            first = resolve_recording_ref(ref)
+            second = resolve_recording_ref(ref)
+        finally:
+            pool.shutdown()
         assert first is second  # decoded once, LRU-served after
         assert first.event_count == recording.event_count
 
@@ -300,40 +366,12 @@ class TestRecordingLRU:
         pool_mod._RECORDING_LRU.clear()
 
 
-class TestInflightDedupe:
-    def test_claim_protocol(self):
-        claim, owner = claim_record("dedupe-key")
-        assert owner
-        deduped_before = pool_stats().records_deduped
-        joined, second_owner = claim_record("dedupe-key")
-        assert not second_owner
-        assert joined is claim
-        assert pool_stats().records_deduped == deduped_before + 1
-        claim.publish(b"payload", None)
-        assert joined.wait(timeout=5) == (b"payload", None)
-        # A retired claim frees the key for the next owner.
-        fresh, owner_again = claim_record("dedupe-key")
-        assert owner_again
-        fresh.fail()
-        waiter, _ = claim_record("dedupe-key")
-        waiter.fail()
-
-    def test_failed_owner_releases_waiters(self):
-        claim, _ = claim_record("failing-key")
-        joined, _ = claim_record("failing-key")
-        claim.fail()
-        assert joined.wait(timeout=5) is None
-
-    def test_concurrent_runs_record_each_stream_once(self, monkeypatch):
-        """Two threads sweeping the same tasks must share one record
-        pass per stream: the second thread joins the first's in-flight
-        claims instead of re-simulating the workload."""
-        calls = []
-        lock = threading.Lock()
+class TestConcurrentRuns:
+    def test_concurrent_runs_return_identical_events(self, monkeypatch):
+        """Two threads sweeping the same tasks with their record passes
+        in flight together: both finish, with identical events."""
 
         def slow_record(record_task):
-            with lock:
-                calls.append(record_task)
             time.sleep(1.0)
             return execute_record(record_task)
 
@@ -344,22 +382,19 @@ class TestInflightDedupe:
 
         def sweep(tag, delay):
             time.sleep(delay)
-            lines = []
-            results = run_tasks(tasks, n_jobs=1, progress=lines.append)
-            outcomes[tag] = (results, lines)
+            outcomes[tag] = run_tasks(tasks, n_jobs=1)
 
         first = threading.Thread(target=sweep, args=("first", 0.0))
         second = threading.Thread(target=sweep, args=("second", 0.4))
         first.start()
         second.start()
-        first.join()
-        second.join()
-        assert len(calls) == 1  # one record pass for both sweeps
-        first_events = [r.events for r in outcomes["first"][0]]
-        second_events = [r.events for r in outcomes["second"][0]]
+        first.join(timeout=120)
+        second.join(timeout=120)
+        assert not first.is_alive() and not second.is_alive()
+        first_events = [r.events for r in outcomes["first"]]
+        second_events = [r.events for r in outcomes["second"]]
+        assert len(first_events) == len(tasks)
         assert first_events == second_events
-        assert any("deduped (record in flight)" in line
-                   for line in outcomes["second"][1])
 
 
 class TestPoolLifecycle:
@@ -396,15 +431,41 @@ class TestPoolStatsLine:
         assert "11 shm shipments (7.4 MB zero-copy)" in line
         assert "respawned" not in line
 
-    def test_respawn_and_dedupe_wording(self):
+    def test_respawn_wording(self):
         stats = pool_mod.PoolStats(workers_spawned=5,
                                    workers_respawned=1,
-                                   tasks_dispatched=9, tasks_retried=1,
-                                   pipe_shipments=2, pipe_bytes=100_000,
-                                   records_deduped=3)
+                                   tasks_dispatched=9, tasks_retried=1)
         line = format_pool_stats(stats)
         assert "5 workers (1 respawned after death)" in line
         assert "spawned once" not in line
         assert "1 retried inline" in line
-        assert "2 pipe shipments (0.1 MB pickled)" in line
-        assert "3 record passes deduped in flight" in line
+
+    def test_singular_wording(self):
+        stats = pool_mod.PoolStats(workers_spawned=1,
+                                   tasks_dispatched=1,
+                                   shm_shipments=1, shm_bytes=240_000)
+        line = format_pool_stats(stats)
+        assert line == ("pool: 1 worker spawned once, 1 task dispatched, "
+                        "1 shm shipment (0.2 MB zero-copy)")
+
+
+class TestPoolStatsDict:
+    @pytest.mark.parametrize("key", [
+        "shm_bytes", "tasks_dispatched", "tasks_retried",
+        "workers_respawned",
+    ])
+    def test_reports_counter(self, key):
+        """The counters the production-path benchmark reads per pass
+        are in the snapshot, with the live values."""
+        stats = pool_stats()
+        snapshot = pool_stats_dict()
+        assert snapshot[key] == getattr(stats, key)
+        assert isinstance(snapshot[key], int)
+
+    def test_snapshot_is_detached_and_json_ready(self):
+        snapshot = pool_stats_dict()
+        assert set(snapshot) == set(pool_mod.PoolStats.__dataclass_fields__)
+        json.loads(json.dumps(snapshot))
+        dispatched = pool_stats().tasks_dispatched
+        snapshot["tasks_dispatched"] += 1000
+        assert pool_stats().tasks_dispatched == dispatched

@@ -133,6 +133,50 @@ class TestSingleFlight:
                 == events_to_dict(produce_task(task)))
 
 
+class TestOneBatchAtATime:
+    def test_distinct_batches_never_overlap(self, monkeypatch):
+        """Clients with distinct task sets queue separate batches, and
+        the daemon never has two scheduler calls in progress at once —
+        the scheduler keeps no cross-call state that overlapping calls
+        would need."""
+        from repro.eval import server as server_mod
+
+        monkeypatch.setenv("_REPRO_SERVE_STALL", "0.3")
+        lock = threading.Lock()
+        counts = {"calls": 0, "active": 0, "peak": 0}
+        run_tasks = server_mod.run_tasks
+
+        def counted(*args, **kwargs):
+            with lock:
+                counts["calls"] += 1
+                counts["active"] += 1
+                counts["peak"] = max(counts["peak"], counts["active"])
+            try:
+                return run_tasks(*args, **kwargs)
+            finally:
+                with lock:
+                    counts["active"] -= 1
+
+        monkeypatch.setattr(server_mod, "run_tasks", counted)
+        job_sets = [[tiny_task(workload)] for workload in WORKLOADS]
+        with start_server_thread(n_jobs=1) as handle:
+            port = handle.server.port
+
+            async def clients():
+                return await asyncio.gather(*(
+                    submit_frames(port, job_set, f"client{i}")
+                    for i, job_set in enumerate(job_sets)
+                ))
+
+            replies = asyncio.run(clients())
+        assert counts["calls"] == len(job_sets)
+        assert counts["peak"] == 1
+        for reply, job_set in zip(replies, job_sets):
+            assert reply["type"] == "result", reply
+            assert reply["counts"]["executed"] == len(job_set)
+            assert len(reply["results"]) == len(job_set)
+
+
 class TestDisconnects:
     def test_disconnect_mid_stream_keeps_shared_task(self, monkeypatch):
         """A subscriber hanging up mid-request must not cancel the
