@@ -14,17 +14,19 @@ Two questions, answered with wall-clock numbers in ``BENCH_pool.json``:
   Unsharded (the shard planner patched to plan one pass per
   recording) that is one batch pass on one process no matter the job
   count; sharded (the default) the scheduler splits the pass into
-  per-worker lane shards over the same shipped recording.  The gated sweep (``shard_sweep``) uses
-  no-replacement and ``otp_split`` geometries, which the batch pricer
-  still simulates lane by lane, so splitting the lanes splits the
-  work.  The headline field is its ``shard_warm_speedup`` (unsharded
-  warm seconds over sharded warm seconds); CI asserts it stays ≥ 1.5x
-  on its multi-core runners (the payload's ``cpus`` field says what
-  the box could do — a 1-CPU host can't run shards concurrently).
+  per-worker lane shards over the same shipped recording.  The gated
+  sweep (``shard_sweep``) uses no-replacement geometries, which the
+  batch pricer still simulates lane by lane, so splitting the lanes
+  splits the work.  The headline field is its ``shard_warm_speedup``
+  (unsharded warm seconds over sharded warm seconds); CI asserts it
+  stays ≥ 1.5x on its multi-core runners (the payload's ``cpus``
+  field says what the box could do — a 1-CPU host can't run shards
+  concurrently).
   ``shard_sweep_lru`` times the same shape over 16 plain LRU
-  geometries, ungated: the stack-distance tier prices those lanes in
-  one shared pass, so an unsharded run is already cheap and sharding
-  it mostly adds shipping.
+  geometries, ungated: the stack-distance tier prices those lanes (and
+  ``otp_split`` lanes whose counters never overflow) in one shared
+  pass, so an unsharded run is already cheap and sharding it mostly
+  adds shipping.
 
 Run as a script to (re)produce ``BENCH_pool.json``::
 
@@ -128,29 +130,20 @@ def shard_sweep_tasks(scale: SimulationScale,
                       n_configs: int = SHARD_CONFIGS,
                       per_lane: bool = True):
     """One merged task sweeping ``n_configs`` distinct SNC geometries on
-    a single workload.  ``per_lane`` sweeps no-replacement and
-    ``otp_split`` SNCs over the sizes, lanes the batch pricer simulates
-    one by one; otherwise plain LRU sizes x entry widths, which the
-    stack-distance tier prices together.  Every entry count is a power
-    of two (an SNC invariant)."""
-    if per_lane:
-        specs = tuple(
-            spec
-            for kb in SHARD_SIZES_KB
-            for spec in (
-                SNCSpec(key=f"norepl{kb}", size_bytes=kb * 1024,
-                        policy="no-replacement"),
-                SNCSpec(key=f"split{kb}", size_bytes=kb * 1024,
-                        scheme="otp_split"),
-            )
-        )[:n_configs]
-    else:
-        specs = tuple(
-            SNCSpec(key=f"lru{kb}e{entry_bytes}", size_bytes=kb * 1024,
-                    entry_bytes=entry_bytes)
-            for kb in SHARD_SIZES_KB
-            for entry_bytes in (2, 4)
-        )[:n_configs]
+    a single workload: sizes x entry widths.  ``per_lane`` sweeps
+    no-replacement SNCs, lanes the batch pricer simulates one by one;
+    otherwise plain LRU ones, which the stack-distance tier prices
+    together.  Every entry count is a power of two (an SNC
+    invariant)."""
+    policy, prefix = (("no-replacement", "norepl") if per_lane
+                      else ("lru", "lru"))
+    specs = tuple(
+        SNCSpec(key=f"{prefix}{kb}e{entry_bytes}",
+                size_bytes=kb * 1024, entry_bytes=entry_bytes,
+                policy=policy)
+        for kb in SHARD_SIZES_KB
+        for entry_bytes in (2, 4)
+    )[:n_configs]
     job = ExperimentJob(figure="shard-sweep", schemes=("otp",),
                         workload=SHARD_WORKLOAD, snc_configs=specs,
                         scale=scale)

@@ -95,6 +95,12 @@ class SplitSequenceCore(SNCPolicyCore):
         self._spill_entry(Evicted(line_index, seq, self.xom_id))
         return WriteDecision(WriteClass.UPDATE_MISS, seq)
 
+    def plain_lru_writebacks(self) -> int:
+        # A line's number is its writeback count (reads never advance
+        # it), so below the counter width every hook decides as the
+        # base core's.
+        return self.counter_max
+
     def _overflow(self, line_index: int) -> WriteDecision:
         """Retire a line from pad treatment: drop its SNC entry, mark it
         direct, and report the write as rejected (direct encryption)."""

@@ -24,6 +24,7 @@ coordinates one core per task over a shared SNC.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -224,6 +225,18 @@ class SNCPolicyCore:
         seq = self._fetch_entry(line_index) + 1
         self._spill_entry(Evicted(line_index, seq, self.xom_id))
         return WriteDecision(WriteClass.UPDATE_MISS, seq)
+
+    def plain_lru_writebacks(self) -> float | None:
+        """How many writebacks one ``(owner, line)`` may take while this
+        core decides as plain Algorithm 1 over an LRU SNC (the stack
+        tier's condition), or ``None``; an override of any decision
+        method returns ``None`` unless it overrides this too."""
+        cls = type(self)
+        if all(getattr(cls, name) is value
+               for name, value in vars(SNCPolicyCore).items()
+               if callable(value) and not name.startswith("__")):
+            return math.inf
+        return None
 
     # -------------------------------------------------------------- internals
 

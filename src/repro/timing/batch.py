@@ -23,22 +23,19 @@ no context switches — the ``(line, xom)`` key tuple built once per
 event and shared by every lane.  Each lane gets the deepest tier its
 configuration supports:
 
-* **stack** — a deep LRU lane (below) of a stream without context
-  switches whose writebacks are all the lane's own task's is not
-  simulated at all: :func:`repro.timing.stack.price_stack` prices every
-  such lane of the batch from one LRU stack pass per geometry group
-  (stack distances, by the inclusion property).  The deep LRU arms
-  stay for switch streams.
-* **deep** — the base :class:`~repro.secure.snc_policy.SNCPolicyCore`
-  hooks over an LRU SNC with the timing simulator's standard
-  fetch/spill callbacks: both the ``snc.query`` / ``snc.update`` hit
-  paths *and* the miss arms (table fetch, insert, LRU eviction, victim
-  spill) run as inline ``OrderedDict`` / ``dict`` calls, zero frames.
-* **fast** — base ``read``/``write`` but a variant hook, a
-  no-replacement SNC, or nonstandard callbacks: the hit paths inline,
-  the ``_read_query_miss`` / ``_write_update_hit`` /
-  ``_write_update_miss`` hooks dispatch virtually, exactly as
-  ``read``/``write`` would.
+* **stack** — an LRU lane that decides as plain Algorithm 1 (see
+  :func:`_stack_lanes`) is not simulated at all:
+  :func:`repro.timing.stack.price_stack` prices every such lane of the
+  batch, §4.3 switch streams included, from one LRU stack pass per
+  geometry group (stack distances, by the inclusion property).
+* **deep** — a no-replacement lane of a switch-free stream: the hit
+  paths and the rejection and admission miss arms run inline, zero
+  frames.
+* **fast** — base ``read``/``write`` but a variant hook, an LRU lane
+  the stack tier cannot take, or a no-replacement lane of a switch
+  stream: the hit paths inline, the ``_read_query_miss`` /
+  ``_write_update_hit`` / ``_write_update_miss`` hooks dispatch
+  virtually, exactly as ``read``/``write`` would.
 * **generic** — a core overriding ``read``/``write`` themselves falls
   back to the fully generic calls.
 
@@ -57,12 +54,18 @@ generated pass and the stack tier.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
+from collections import Counter, OrderedDict
 from collections.abc import Sequence
 from itertools import compress
 
 from repro.secure.snc import SNCPolicy
-from repro.secure.snc_policy import ReadClass, SNCPolicyCore, WriteClass
+from repro.secure.snc_policy import (
+    ReadClass,
+    SNCPolicyCore,
+    SwitchStrategy,
+    WriteClass,
+)
 from repro.timing.model import (
     EVENT_ALLOC,
     EVENT_READ,
@@ -76,12 +79,13 @@ from repro.timing.stack import price_stack
 #: first block is the :class:`~repro.timing.model.SNCEventCounts`
 #: classification counts plus the traffic counts the sim's callbacks
 #: bump; the second is the SNC stat increments the
-#: inlined paths bypass.
+#: inlined paths bypass; the last is the switches and switch spills.
 _COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp",
-             "qh", "qm", "sh", "su", "ins", "ev", "rjs")
+             "qh", "qm", "sh", "su", "ins", "ev", "rjs", "sw", "ss")
 #: The subset zeroed at the warmup boundary (the counts-backed ones;
 #: SNC stats are lifetime values ``reset_counts`` never zeroes).
-_RESET_COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp")
+_RESET_COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp",
+                   "sw", "ss")
 
 #: Compiled batch functions keyed by ``(lane shapes, n_models,
 #: has_switch)``.  The key depends only on lane *shapes*, so every
@@ -106,8 +110,8 @@ def compiled_batch_info() -> tuple[int, int, int]:
 
 def _lane_shape(sim: SNCTimingSim, has_switch: bool) -> tuple:
     """The source-shaping parameters of one sim's generated arms:
-    ``(deep, deep_nr, fast_read, fast_write, base_write_hit, n_sets,
-    ways, xom_id)``."""
+    ``(deep_nr, fast_read, fast_write, base_write_hit, n_sets, ways,
+    xom_id)``."""
     core = sim.core
     core_cls = type(core)
     snc = sim.snc
@@ -115,47 +119,30 @@ def _lane_shape(sim: SNCTimingSim, has_switch: bool) -> tuple:
     fast_write = core_cls.write is SNCPolicyCore.write
     base_write_hit = (core_cls._write_update_hit
                       is SNCPolicyCore._write_update_hit)
-    base_hooks = (
-        fast_read and fast_write and base_write_hit
-        and core_cls._read_query_miss is SNCPolicyCore._read_query_miss
-        and core_cls._write_update_miss is SNCPolicyCore._write_update_miss
-    )
-    # The deep LRU tier additionally requires the timing sim's own
-    # fetch/spill callbacks — anything else keeps virtual dispatch.
-    # ``_spill_entry`` is passed to cores unwrapped (one shared cycle-
-    # free closure), so callback identity proves this core's installs
-    # really land in ``sim._table`` with ``sim.counts`` doing the
-    # counting.
-    deep = (
-        base_hooks
-        and snc.config.policy is SNCPolicy.LRU
-        and sim.tasks._fetch_entry == getattr(sim, "_fetch_entry", None)
-        and core._spill_entry == getattr(sim, "_spill_entry", None)
-    )
     # The deep no-replacement tier never touches the spill table (the
     # policy's whole point), but its per-line fallback state lives on
     # the *core* — so it is only valid while no context switch can swap
     # cores under the baked bindings.
     deep_nr = (
-        base_hooks
+        fast_read and fast_write and base_write_hit
+        and core_cls._read_query_miss is SNCPolicyCore._read_query_miss
+        and core_cls._write_update_miss is SNCPolicyCore._write_update_miss
         and snc.config.policy is SNCPolicy.NO_REPLACEMENT
         and not has_switch
     )
-    return (deep, deep_nr, fast_read, fast_write, base_write_hit,
+    return (deep_nr, fast_read, fast_write, base_write_hit,
             snc._n_sets, snc._ways, core.xom_id)
 
 
 def _lane_binds(sim: SNCTimingSim, shape: tuple) -> tuple:
     """The runtime objects the generated preamble unpacks for one lane."""
-    deep, deep_nr = shape[0], shape[1]
+    deep_nr = shape[0]
     snc = sim.snc
     entries = snc._sets[0]
     core = sim.core
     return (
         entries.get, entries.move_to_end, entries.__setitem__,
-        entries.popitem, entries, snc._sets,
-        sim._table.get if deep else None,
-        sim._table.__setitem__ if deep else None,
+        entries, snc._sets,
         core.direct_lines if deep_nr else None,
         core.fallback_seq if deep_nr else None,
         core.read, core.write, core._read_query_miss,
@@ -165,35 +152,18 @@ def _lane_binds(sim: SNCTimingSim, shape: tuple) -> tuple:
 
 
 def _dict_ops(i: int, n_sets: int) -> tuple[list[str], str, str, str,
-                                            str, str]:
+                                            str]:
     """The set-pick preamble and entry-dict operation expressions for
     one lane: fully associative lanes use the prebound single-set
     methods, set-associative lanes resolve the set per line."""
     if n_sets == 1:
-        return ([], f"g{i}", f"m{i}", f"s{i}", f"p{i}", f"len(e{i})")
+        return ([], f"g{i}", f"m{i}", f"s{i}", f"len(e{i})")
     pick = [f"E = st{i}[line % {n_sets}]"]
-    return (pick, "E.get", "E.move_to_end", "E.__setitem__",
-            "E.popitem", "len(E)")
+    return pick, "E.get", "E.move_to_end", "E.__setitem__", "len(E)"
 
 
-def _install_lines(i: int, size: str, pop: str, seti: str, key: str,
-                   ways: int) -> list[str]:
-    """The inlined ``snc.insert`` + victim spill (Algorithm 1's install
-    step): evict the LRU entry to the in-memory table when full, then
-    install ``seq`` under ``key``."""
-    return [
-        f"if {size} >= {ways}:",
-        f"    (ol, ox), osq = {pop}(False)",
-        f"    ev{i} += 1",
-        f"    tp{i} += 1",
-        f"    ts{i}((ox, ol), osq)",
-        f"{seti}({key}, seq)",
-        f"ins{i} += 1",
-    ]
-
-
-def _read_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
-    deep, deep_nr, fast_read, _, _, n_sets, ways, _ = shape
+def _read_arm(i: int, shape: tuple, key: str) -> list[str]:
+    deep_nr, fast_read, _, _, n_sets, _, _ = shape
     if not fast_read:
         return [
             f"k = cr{i}(line)[0]",
@@ -201,7 +171,7 @@ def _read_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
             f"elif k is SQ: sm{i} += 1",
             f"else: dr{i} += 1",
         ]
-    pick, get, mte, seti, pop, size = _dict_ops(i, n_sets)
+    pick, get, mte, _, _ = _dict_ops(i, n_sets)
     hit = pick + [
         f"if {get}({key}) is not None:",
         f"    qh{i} += 1",
@@ -218,29 +188,19 @@ def _read_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
             f"    if line in dl{i}: dr{i} += 1",
             f"    else: o{i} += 1",
         ]
-    if not deep:
-        return hit + [
-            f"    k = rq{i}(line)[0]",
-            f"    if k is OV: o{i} += 1",
-            f"    elif k is SQ: sm{i} += 1",
-            f"    else: dr{i} += 1",
-        ]
-    # Algorithm 1, query-miss arm: fetch the spilled number, install it
-    # (spilling the LRU victim), decrypt with it — a SEQNUM_MISS.
     return hit + [
-        f"    tf{i} += 1",
-        f"    seq = tg{i}(({xom}, line), 0)",
-    ] + ["    " + ln
-         for ln in _install_lines(i, size, pop, seti, key, ways)] + [
-        f"    sm{i} += 1",
+        f"    k = rq{i}(line)[0]",
+        f"    if k is OV: o{i} += 1",
+        f"    elif k is SQ: sm{i} += 1",
+        f"    else: dr{i} += 1",
     ]
 
 
-def _alloc_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
-    deep, deep_nr, fast_read, _, _, n_sets, ways, _ = shape
+def _alloc_arm(i: int, shape: tuple, key: str) -> list[str]:
+    deep_nr, fast_read, _, _, n_sets, _, _ = shape
     if not fast_read:
         return [f"al{i} += 1", f"cr{i}(line)"]
-    pick, get, mte, seti, pop, size = _dict_ops(i, n_sets)
+    pick, get, mte, _, _ = _dict_ops(i, n_sets)
     hit = [f"al{i} += 1"] + pick + [
         f"if {get}({key}) is not None:",
         f"    qh{i} += 1",
@@ -252,17 +212,11 @@ def _alloc_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         # The no-replacement query-miss arm classifies without state
         # effects, and an allocate discards the classification.
         return hit
-    if not deep:
-        return hit + [f"    rq{i}(line)"]
-    return hit + [
-        f"    tf{i} += 1",
-        f"    seq = tg{i}(({xom}, line), 0)",
-    ] + ["    " + ln
-         for ln in _install_lines(i, size, pop, seti, key, ways)]
+    return hit + [f"    rq{i}(line)"]
 
 
 def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
-    deep, deep_nr, _, fast_write, base_write_hit, n_sets, ways, _ = shape
+    deep_nr, _, fast_write, base_write_hit, n_sets, ways, _ = shape
     classify = [
         f"if k is UH: uh{i} += 1",
         "else:",
@@ -280,7 +234,7 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
             "else:",
             f"    k = cw{i}(line)[0]",
         ] + ["    " + ln for ln in classify]
-    pick, get, mte, seti, pop, size = _dict_ops(i, n_sets)
+    pick, get, mte, seti, size = _dict_ops(i, n_sets)
     body = desched + ["else:"] + ["    " + ln for ln in pick] + [
         f"    seq = {get}({key})",
         "    if seq is not None:",
@@ -317,18 +271,9 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
             f"            dl{i}.discard(line)",
             f"            um{i} += 1",
         ]
-    if not deep:
-        return body + [
-            f"        k = wm{i}(line)[0]",
-        ] + ["        " + ln for ln in classify]
-    # Algorithm 1, update-miss arm: fetch, increment, install.
     return body + [
-        f"        tf{i} += 1",
-        f"        seq = tg{i}(({xom}, line), 0) + 1",
-    ] + ["        " + ln
-         for ln in _install_lines(i, size, pop, seti, key, ways)] + [
-        f"        um{i} += 1",
-    ]
+        f"        k = wm{i}(line)[0]",
+    ] + ["        " + ln for ln in classify]
 
 
 def _build_source(shapes: Sequence[tuple], n_models: int,
@@ -341,14 +286,14 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
     # lane.  With switches the xom is a rebindable local and keys are
     # built per lane (scenario streams — rare next to sweep traffic).
     shared_key = (not has_switch and n > 0
-                  and len({shape[7] for shape in shapes}) == 1)
+                  and len({shape[6] for shape in shapes}) == 1)
     if has_switch:
         xoms = {i: f"x{i}" for i in lanes}
         keys = {i: f"key{i}" for i in lanes}
     else:
-        xoms = {i: str(shapes[i][7]) for i in lanes}
+        xoms = {i: str(shapes[i][6]) for i in lanes}
         keys = {i: ("key" if shared_key
-                    else f"(line, {shapes[i][7]})") for i in lanes}
+                    else f"(line, {shapes[i][6]})") for i in lanes}
 
     out = ["def _batch(kinds, lines, aux, lanes, models, OV, SQ, UH, RJ):"]
 
@@ -356,12 +301,12 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
         out.extend("    " * depth + ln for ln in lns)
 
     for i in lanes:
-        emit(1, [f"(g{i}, m{i}, s{i}, p{i}, e{i}, st{i}, tg{i}, ts{i}, "
-                 f"dl{i}, fb{i}, cr{i}, cw{i}, rq{i}, wh{i}, wm{i}, "
+        emit(1, [f"(g{i}, m{i}, s{i}, e{i}, st{i}, dl{i}, fb{i}, "
+                 f"cr{i}, cw{i}, rq{i}, wh{i}, wm{i}, "
                  f"tk{i}, cn{i}) = lanes[{i}]"])
         emit(1, [" = ".join(f"{name}{i}" for name in _COUNTERS) + " = 0"])
         if has_switch:
-            emit(1, [f"x{i} = {shapes[i][7]}"])
+            emit(1, [f"x{i} = {shapes[i][6]}"])
     for j in range(n_models):
         emit(1, [f"v{j} = models[{j}].verify",
                  f"w{j} = models[{j}].update"])
@@ -370,7 +315,7 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
         """Per-lane key assignments for the switch case; ``needs``
         indexes the shape flag that says the arm uses the key."""
         if shared_key:
-            emit(3, [f"key = (line, {shapes[0][7]})"])
+            emit(3, [f"key = (line, {shapes[0][6]})"])
         elif has_switch:
             for i in lanes:
                 if shapes[i][needs]:
@@ -378,30 +323,29 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
 
     emit(1, ["for kind, line, owner in zip(kinds, lines, aux):"])
     emit(2, [f"if kind == {EVENT_READ}:"])
-    emit_keys(needs=2)  # fast_read arms touch the entry dict
+    emit_keys(needs=1)  # fast_read arms touch the entry dict
     for i in lanes:
-        emit(3, _read_arm(i, shapes[i], keys[i], xoms[i]))
+        emit(3, _read_arm(i, shapes[i], keys[i]))
     for j in range(n_models):
         emit(3, [f"v{j}(line, critical=True)"])
     emit(2, [f"elif kind == {EVENT_WRITEBACK}:"])
-    emit_keys(needs=3)  # fast_write arms touch the entry dict
+    emit_keys(needs=2)  # fast_write arms touch the entry dict
     for i in lanes:
         emit(3, _write_arm(i, shapes[i], keys[i], xoms[i]))
     for j in range(n_models):
         emit(3, [f"w{j}(line)"])
     emit(2, [f"elif kind == {EVENT_ALLOC}:"])
-    emit_keys(needs=2)
+    emit_keys(needs=1)
     for i in lanes:
-        emit(3, _alloc_arm(i, shapes[i], keys[i], xoms[i]))
+        emit(3, _alloc_arm(i, shapes[i], keys[i]))
     for j in range(n_models):
         emit(3, [f"v{j}(line, critical=False)"])
     emit(2, [f"elif kind == {EVENT_SWITCH}:"])
     if has_switch and n:
         for i in lanes:
             emit(3, [
-                f"spilled = tk{i}.switch_to(owner)",
-                f"cn{i}.switches += 1",
-                f"cn{i}.switch_spills += spilled",
+                f"sw{i} += 1",
+                f"ss{i} += tk{i}.switch_to(owner)",
                 f"C = tk{i}.current",
                 f"x{i} = C.xom_id",
                 f"cr{i} = C.read",
@@ -466,27 +410,33 @@ def _flush(sim: SNCTimingSim, c: tuple) -> None:
     stats.insertions += c[13]
     stats.evictions += c[14]
     stats.rejected += c[15]
+    counts.switches += c[16]
+    counts.switch_spills += c[17]
     # ``switch_task`` leaves ``sim.core`` on the scheduled core;
     # ``tasks.current`` is that same core.
     sim.core = sim.tasks.current
 
 
-def _stack_lanes(sims: Sequence[SNCTimingSim], shapes: Sequence[tuple],
-                 kinds, aux, has_switch: bool) -> list[bool]:
-    """Which lanes the stack-distance tier prices: deep LRU lanes over a
-    switch-free stream whose writebacks all belong to the lane's own
-    task, starting from an SNC nothing was ever inserted into.  Such a
-    lane is a plain single-task LRU cache of lines, which
-    :func:`repro.timing.stack.price_stack` prices exactly."""
-    if has_switch:
-        return [False] * len(sims)
-    candidates = [shape[0] and sim.snc.stats.insertions == 0
-                  for sim, shape in zip(sims, shapes)]
-    if not any(candidates):
-        return candidates
-    owners = set(compress(aux, map(EVENT_WRITEBACK.__eq__, kinds)))
-    return [candidate and owners <= {shape[7]}
-            for candidate, shape in zip(candidates, shapes)]
+def _stack_lanes(sims: Sequence[SNCTimingSim], kinds,
+                 lines) -> list[bool]:
+    """Which lanes the stack tier prices: fresh LRU SNCs over the sim's
+    own fetch/spill callbacks whose core decides as plain Algorithm 1
+    (``plain_lru_writebacks``) for the most writebacks a line takes,
+    over all owners (a bound on any ``(owner, line)``)."""
+    limits = [
+        sim.core.plain_lru_writebacks()
+        if (sim.snc.config.policy is SNCPolicy.LRU
+            and sim.snc.stats.insertions == 0
+            and sim.tasks._fetch_entry == getattr(sim, "_fetch_entry", None)
+            and sim.core._spill_entry == getattr(sim, "_spill_entry", None))
+        else None
+        for sim in sims
+    ]
+    most = 0
+    if any(limit is not None and limit < math.inf for limit in limits):
+        most = max(Counter(compress(lines, map(EVENT_WRITEBACK.__eq__,
+                                               kinds))).values(), default=0)
+    return [limit is not None and most <= limit for limit in limits]
 
 
 def replay_events_batch(sims: Sequence[SNCTimingSim],
@@ -502,31 +452,37 @@ def replay_events_batch(sims: Sequence[SNCTimingSim],
     Sims are priced once, fresh, as :meth:`~repro.eval.record.
     Recording.replay_batch` builds them: lanes the stack-distance tier
     takes (:func:`_stack_lanes`) get their counts and SNC stats but
-    keep an empty SNC and spill table.
+    keep an empty SNC and spill table, and their first task scheduled.
     """
     if not sims and not integrity_models:
         return
     has_switch = EVENT_SWITCH in kinds
-    shapes = tuple(_lane_shape(sim, has_switch) for sim in sims)
-    on_stack = _stack_lanes(sims, shapes, kinds, aux, has_switch)
+    on_stack = _stack_lanes(sims, kinds, lines)
     batched = [lane for lane, flag in enumerate(on_stack) if not flag]
     if batched or integrity_models:
-        batch_shapes = tuple(shapes[lane] for lane in batched)
-        fn = _compile(batch_shapes, len(integrity_models), has_switch)
+        shapes = tuple(_lane_shape(sims[lane], has_switch)
+                       for lane in batched)
+        fn = _compile(shapes, len(integrity_models), has_switch)
         results = fn(
             kinds, lines, aux,
-            [_lane_binds(sims[lane], shapes[lane]) for lane in batched],
+            [_lane_binds(sims[lane], shape)
+             for lane, shape in zip(batched, shapes)],
             integrity_models,
             ReadClass.OVERLAPPED, ReadClass.SEQNUM_MISS,
             WriteClass.UPDATE_HIT, WriteClass.REJECTED,
         )
         for lane, lane_counts in zip(batched, results):
             _flush(sims[lane], lane_counts)
-    stacked = [lane for lane, flag in enumerate(on_stack) if flag]
-    if stacked:
-        results = price_stack(
-            [(shapes[lane][5], shapes[lane][6]) for lane in stacked],
-            kinds, lines,
-        )
-        for lane, lane_counts in zip(stacked, results):
+    # One stack walk per (switch strategy, first task).
+    groups: dict[tuple, list[int]] = {}
+    for lane in compress(range(len(sims)), on_stack):
+        core = sims[lane].core
+        groups.setdefault((core.switch_strategy, core.xom_id),
+                          []).append(lane)
+    for (strategy, task), lanes in groups.items():
+        results = price_stack([(sims[lane].snc._n_sets,
+                                sims[lane].snc._ways) for lane in lanes],
+                              kinds, lines, aux, task,
+                              strategy is SwitchStrategy.FLUSH)
+        for lane, lane_counts in zip(lanes, results):
             _flush(sims[lane], lane_counts)

@@ -1,5 +1,5 @@
-"""Stack-distance pricing: every no-switch LRU SNC lane of a batch from
-one LRU stack pass per geometry group.
+"""Stack-distance pricing: every LRU SNC lane of a batch from one LRU
+stack pass per geometry group.
 
 An LRU sequence-number cache that only sees one task's accesses is a
 plain LRU cache of lines: a read, write-allocate or writeback either
@@ -33,18 +33,26 @@ afterwards:
   every other insertion evicts: evictions (= table spills) are misses
   minus fills.
 
+Switch streams and other tasks' writebacks walk keys: the line tagged
+above its bits (:func:`_switch_stream`).  Under TAG the tag is the
+owner, so one stack is the shared SNC; under FLUSH it is the switch
+window, so each window starts empty, and a descheduled owner's
+writeback is one fetch, spill and update miss off the stack.
+``docs/replay.md`` gives the exactness arguments.
+
 No sequence numbers and no spill table are built: those only carry
 values, and an LRU lane's counts never depend on them.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, OrderedDict
 from collections.abc import Sequence
 from functools import partial
-from itertools import islice
+from itertools import compress, islice
 
-from repro.timing.model import EVENT_RESET
+from repro.timing.model import EVENT_RESET, EVENT_SWITCH, EVENT_WRITEBACK
 
 #: Histogram rows: the access kinds, indexed by their ``EVENT_*`` value
 #: (``EVENT_READ`` 0, ``EVENT_ALLOC`` 1, ``EVENT_WRITEBACK`` 2).
@@ -64,6 +72,50 @@ def _phases(kinds) -> tuple[list[tuple[int, int]], tuple[int, int]]:
     bounds.append(len(kinds))
     spans = [(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:])]
     return spans[:-1], spans[-1]
+
+
+def _switch_stream(kinds, lines, aux, task: int, flush: bool,
+                   shift: int) -> tuple:
+    """The access events of a switch stream keyed for one stack; where
+    the last RESET falls in them; the FLUSH-dropped writebacks and the
+    switches after it; and where the switch windows holding that RESET
+    and the stream's end begin."""
+    out_kinds = array("B")
+    keys: list[int] = []
+    reset = detached = switched = reset_window = window = epoch = start = 0
+    run = task
+    for cut in [*(at for at, kind in enumerate(kinds)
+                  if kind > EVENT_WRITEBACK), len(kinds)]:
+        span_kinds = kinds[start:cut]
+        span_lines = lines[start:cut]
+        if flush:
+            own = [kind != EVENT_WRITEBACK or owner == run
+                   for kind, owner in zip(span_kinds, aux[start:cut])]
+            out_kinds.extend(compress(span_kinds, own))
+            keys.extend(map((epoch << shift).__or__,
+                            compress(span_lines, own)))
+            detached += len(own) - sum(own)
+        else:
+            tag = run << shift
+            out_kinds.extend(span_kinds)
+            keys.extend([
+                line | (owner << shift if kind == EVENT_WRITEBACK else tag)
+                for kind, line, owner in zip(span_kinds, span_lines,
+                                             aux[start:cut])
+            ])
+        if cut == len(kinds):
+            break
+        if kinds[cut] == EVENT_SWITCH:
+            epoch += 1
+            run = aux[cut]
+            window = len(keys)
+            switched += 1
+        else:  # the warmup boundary zeroes what was counted so far
+            reset, reset_window = len(keys), window
+            detached = switched = 0
+        start = cut + 1
+    return (out_kinds, keys, reset, detached, switched, reset_window,
+            window)
 
 
 def _fully_associative_pass(segments, sizes, where, kinds, lines, lo, hi,
@@ -135,11 +187,11 @@ def _hits_misses(hist: list[int], row: int, hit_buckets: int
             for base in range(0, _KINDS * row, row)]
 
 
-def _lane_counters(before, window, fills_before: int,
-                   fills_total: int) -> tuple:
+def _lane_counters(before, window, fills_before: int, fills_total: int,
+                   detached: int, switched: int, spilled: int) -> tuple:
     """One lane's counter tuple in the batch pricer's ``_COUNTERS``
     order: the measured-window counts (zeroed at the RESET), then the
-    lifetime SNC stats (never zeroed)."""
+    lifetime SNC stats (never zeroed), then the window's switches."""
     life = [(hit + hit_before, miss + miss_before)
             for (hit, miss), (hit_before, miss_before) in zip(window, before)]
     (read_hit, read_miss), (alloc_hit, alloc_miss), (wb_hit, wb_miss) = window
@@ -148,34 +200,53 @@ def _lane_counters(before, window, fills_before: int,
     misses = read_miss + alloc_miss + wb_miss
     life_misses = life_read_miss + life_alloc_miss + life_wb_miss
     return (
-        read_hit, read_miss, 0, alloc_hit + alloc_miss, wb_hit, wb_miss, 0,
-        misses, misses - (fills_total - fills_before),
+        read_hit, read_miss, 0, alloc_hit + alloc_miss, wb_hit,
+        wb_miss + detached, 0, misses + detached,
+        misses - (fills_total - fills_before) + spilled + detached,
         life_read_hit + life_alloc_hit, life_read_miss + life_alloc_miss,
         life_wb_hit, life_wb_miss, life_misses, life_misses - fills_total, 0,
+        switched, spilled,
     )
 
 
-def price_stack(geometries: Sequence[tuple[int, int]], kinds,
-                lines) -> list[tuple]:
+def price_stack(geometries: Sequence[tuple[int, int]], kinds, lines,
+                aux=None, task: int = 0, flush: bool = False) -> list[tuple]:
     """Price LRU SNC lanes from their stack distances.
 
-    ``geometries`` holds one ``(n_sets, ways)`` per lane; ``kinds`` /
-    ``lines`` are a recording's event columns, which must hold no
-    :data:`~repro.timing.model.EVENT_SWITCH` (every access is one
-    task's).  Each lane starts with an empty SNC.  Returns one counter
-    tuple per lane, in the batch pricer's ``_COUNTERS`` order, equal to
-    what its generated deep-LRU arms would accumulate.
+    ``geometries`` holds one ``(n_sets, ways)`` per lane, set counts
+    powers of two; ``kinds`` / ``lines`` / ``aux`` are a recording's
+    event columns (without ``aux``, all one task's accesses), ``task``
+    the first scheduled XOM id and ``flush`` the switch strategy.  Each
+    lane starts with an empty SNC.  Returns one counter tuple per lane,
+    in the batch pricer's ``_COUNTERS`` order, equal to what its
+    per-event simulation would count.
     """
-    before, window = _phases(kinds)
     groups: dict[int, list[int]] = {}
     for lane, (n_sets, _ways) in enumerate(geometries):
         groups.setdefault(n_sets, []).append(lane)
+    detached = switched = 0
+    masks = {n_sets: n_sets - 1 for n_sets in groups}
+    tagged = aux is not None and (
+        EVENT_SWITCH in kinds
+        or not set(compress(aux, map(EVENT_WRITEBACK.__eq__, kinds)))
+        <= {task})
+    if tagged:
+        shift = max(max(lines, default=0).bit_length(),
+                    max(groups, default=1).bit_length())
+        (kinds, lines, reset, detached, switched, reset_window,
+         last_window) = _switch_stream(kinds, lines, aux, task, flush,
+                                       shift)
+        before, window = [(0, reset)], (reset, len(lines))
+        if flush:  # a set fills once per switch window
+            masks = {n_sets: ~((1 << shift) - n_sets) for n_sets in groups}
+    else:
+        before, window = _phases(kinds)
 
     def lines_per_set(seen: set[int]) -> dict:
         """Distinct lines mapped to each set, per group set count."""
-        return {n_sets: (Counter(map(n_sets.__rmod__, seen)).values()
-                         if n_sets > 1 else [len(seen)])
-                for n_sets in groups}
+        return {n_sets: (Counter(map(mask.__and__, seen)).values()
+                         if mask else [len(seen)])
+                for n_sets, mask in masks.items()}
 
     seen: set[int] = set()
     for lo, hi in before:
@@ -184,6 +255,8 @@ def price_stack(geometries: Sequence[tuple[int, int]], kinds,
     seen.update(islice(lines, *window))
     sizes_total = lines_per_set(seen)
     del seen
+    if tagged and flush:  # windows that end at a switch after the RESET
+        sizes_spilled = lines_per_set(set(lines[reset_window:last_window]))
 
     results: list = [None] * len(geometries)
     for n_sets, lanes in groups.items():
@@ -213,6 +286,8 @@ def price_stack(geometries: Sequence[tuple[int, int]], kinds,
                 _hits_misses(hist_before, row, buckets),
                 _hits_misses(hist_window, row, buckets),
                 _fills(sizes_before[n_sets], lane_ways),
-                _fills(sizes_total[n_sets], lane_ways),
+                _fills(sizes_total[n_sets], lane_ways), detached, switched,
+                _fills(sizes_spilled[n_sets], lane_ways)
+                if tagged and flush else 0,
             )
     return results

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields
+from itertools import cycle
 
 import pytest
 
 from oracle import oracle
 
+import repro.timing.batch as batch
 from repro.errors import ConfigurationError
 from repro.eval.pipeline import SimulationScale, standard_snc_configs
 from repro.eval.record import ReplayRequest, record_source
@@ -29,7 +31,12 @@ from repro.eval.trace_store import recording_from_bytes, recording_to_bytes
 from repro.secure.integrity import IntegrityConfig
 from repro.secure.snc import SNCConfig, SNCPolicy
 from repro.secure.snc_policy import SwitchStrategy
-from repro.workloads.sources import MultiTaskInterleaver, SingleBenchmark
+from repro.workloads.sources import (
+    TASK_LINE_STRIDE,
+    MultiTaskInterleaver,
+    SingleBenchmark,
+    Switch,
+)
 from repro.workloads.spec import BY_NAME
 
 #: Valid baseline-L2 geometries (set count must be a power of two).
@@ -273,3 +280,94 @@ def test_standard_configs_full_axis():
         snc_configs=standard_snc_configs(), alt_l2=True,
     )])[0]
     assert_events_identical(expected, batched)
+
+
+class Rotation:
+    """A multi-task source that schedules its tasks in a fixed rotation,
+    repeats included, so a task can be switched back in right after its
+    own quantum (the interleaver always moves on to the next task)."""
+
+    def __init__(self, names, quantum: int, rotation):
+        mix = MultiTaskInterleaver(names, quantum)
+        self.benchmarks, self.tasks = mix.benchmarks, mix.tasks
+        self.quantum, self.rotation = quantum, rotation
+        self.name = f"{mix.name}/{'-'.join(map(str, rotation))}"
+
+    def stream(self, seed: int = 1):
+        generators = [bench.generator(seed=seed + index)
+                      for index, bench in enumerate(self.benchmarks)]
+        current = self.rotation[0]
+        for following in cycle(self.rotation[1:] + self.rotation[:1]):
+            offset = current * TASK_LINE_STRIDE
+            for _ in range(self.quantum):
+                line, is_write = next(generators[current])
+                yield line + offset, is_write
+            yield Switch(current, following)
+            current = following
+
+
+_SWITCH_SCALE = SimulationScale(warmup_refs=4_000, measure_refs=8_000)
+
+#: §4.3 streams for the tier: each source with a scale its mix clears
+#: the initialization phase at.
+SWITCH_STREAMS = {
+    "reset inside a quantum": (MultiTaskInterleaver(["art", "vpr"], 1_500),
+                               _SWITCH_SCALE),
+    "one-reference quanta": (MultiTaskInterleaver(["art", "vpr"], 1),
+                             _SWITCH_SCALE),
+    "three tasks": (MultiTaskInterleaver(["equake", "mesa", "vpr"], 700),
+                    _SWITCH_SCALE),
+    "switch back to the same task": (Rotation(["art", "vpr"], 700,
+                                              (0, 1, 1)), _SWITCH_SCALE),
+}
+
+#: LRU lanes under both schemes, fully and set associative (two lanes
+#: share a set count); the 2KB lanes fill inside a quantum.  Few sets
+#: each: every FLUSH switch scans every set on the per-event paths.
+SWITCH_SNCS = {
+    "lru2k": (SNCConfig(size_bytes=2 * 1024), "otp"),
+    "split2k": (SNCConfig(size_bytes=2 * 1024), "otp_split"),
+    "lru8k": (SNCConfig(size_bytes=8 * 1024), "otp"),
+    "split4k_32way": (SNCConfig(size_bytes=4 * 1024, assoc=32),
+                      "otp_split"),
+    "lru8k_64way": (SNCConfig(size_bytes=8 * 1024, assoc=64), "otp"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWITCH_STREAMS))
+def test_switch_stream_tier_differential(name, monkeypatch):
+    """FLUSH and TAG over otp and otp_split lanes: the oracle, the
+    stack tier and the generated batch pass with the tier off all
+    count alike, and the tier takes every lane."""
+    source, scale = SWITCH_STREAMS[name]
+    configs = {key: config for key, (config, _) in SWITCH_SNCS.items()}
+    schemes = {key: scheme for key, (_, scheme) in SWITCH_SNCS.items()}
+    recording = _round_trip(record_source(source, scale=scale,
+                                          include_alt_l2=False))
+    strategies = (SwitchStrategy.FLUSH, SwitchStrategy.TAG)
+    requests = [ReplayRequest(snc_configs=configs, snc_schemes=schemes,
+                              strategy=strategy)
+                for strategy in strategies]
+    tier_lanes = []
+    price_stack = batch.price_stack
+
+    def spy(geometries, *args):
+        tier_lanes.extend(geometries)
+        return price_stack(geometries, *args)
+
+    monkeypatch.setattr(batch, "price_stack", spy)
+    tier = recording.replay_batch(requests)
+    assert len(tier_lanes) == len(strategies) * len(configs)
+    monkeypatch.setattr(batch, "_stack_lanes",
+                        lambda sims, *_args: [False] * len(sims))
+    batch_only = recording.replay_batch(requests)
+    for strategy, tier_events, batch_events in zip(strategies, tier,
+                                                   batch_only):
+        expected = oracle(source, scale=scale, snc_configs=configs,
+                          snc_schemes=schemes, strategy=strategy).events
+        assert_events_identical(expected, tier_events)
+        assert_events_identical(expected, batch_events)
+        flush = strategy is SwitchStrategy.FLUSH
+        for counts in expected.snc.values():
+            assert counts.switches > 0
+            assert (counts.switch_spills > 0) == flush

@@ -1,11 +1,14 @@
 """The stack-distance tier (:mod:`repro.timing.stack`) and its routing.
 
-The tier prices every no-switch LRU SNC lane of a batch from stack
-distances instead of simulating each lane.  Its unit tests compare it
-with one ``OrderedDict`` LRU per lane on synthetic columns; the routing
-tests pin which lanes :func:`~repro.timing.batch.replay_events_batch`
-hands it and that a request mixing tier and batch lanes comes back
-whole and in order.
+The tier prices every LRU SNC lane of a batch whose core decides as
+plain Algorithm 1 from stack distances instead of simulating each lane,
+§4.3 switch streams included.  Its unit tests compare it with one
+``OrderedDict`` LRU per lane on synthetic single-task columns, and with
+the per-event :class:`~repro.timing.model.SNCTimingSim` on synthetic
+FLUSH and TAG switch streams; the routing tests pin which lanes
+:func:`~repro.timing.batch.replay_events_batch` hands it (split-counter
+lanes only while no counter overflows) and that a request mixing tier
+and batch lanes comes back whole and in order.
 """
 
 from __future__ import annotations
@@ -26,14 +29,17 @@ from repro.eval.jobs import (
     task_lanes,
 )
 from repro.eval.pipeline import SimulationScale, _build_sims
-from repro.eval.record import ReplayRequest, record_source
+from repro.eval.record import record_source
+from repro.secure.schemes.otp_split import SplitSequenceCore
 from repro.secure.snc import SNCConfig, SNCPolicy
 from repro.secure.snc_policy import SwitchStrategy
 from repro.timing.model import (
     EVENT_ALLOC,
     EVENT_READ,
     EVENT_RESET,
+    EVENT_SWITCH,
     EVENT_WRITEBACK,
+    SNCTimingSim,
 )
 from repro.timing.stack import price_stack
 from repro.workloads.sources import MultiTaskInterleaver, SingleBenchmark
@@ -79,7 +85,7 @@ def lru_counters(n_sets: int, ways: int, kinds, lines) -> tuple:
         else:
             window[4 if hit else 5] += 1
             life[2 if hit else 3] += 1
-    return tuple(window + life)
+    return (*window, *life, 0, 0)  # no switches, no switch spills
 
 
 def _columns(events):
@@ -147,6 +153,113 @@ def test_lane_order_and_duplicates_are_kept():
     ]
 
 
+# ------------------------------------------------------ switch streams
+
+
+def sim_counters(sim: SNCTimingSim) -> tuple:
+    """A sim's counts and SNC stats in the batch pricer's ``_COUNTERS``
+    order."""
+    counts, stats = sim.counts, sim.snc.stats
+    return (counts.overlapped_reads, counts.seqnum_miss_reads,
+            counts.direct_reads, counts.allocate_queries,
+            counts.update_hits, counts.update_misses,
+            counts.rejected_updates, counts.table_fetches,
+            counts.table_spills, stats.query_hits, stats.query_misses,
+            stats.update_hits, stats.update_misses, stats.insertions,
+            stats.evictions, stats.rejected, counts.switches,
+            counts.switch_spills)
+
+
+def per_event(sim: SNCTimingSim, kinds, lines, aux) -> SNCTimingSim:
+    """Drive ``sim`` one call per event, as the oracle does."""
+    for kind, line, owner in zip(kinds, lines, aux):
+        if kind == EVENT_READ:
+            sim.read_miss(line)
+        elif kind == EVENT_ALLOC:
+            sim.read_miss(line, critical=False)
+        elif kind == EVENT_WRITEBACK:
+            sim.writeback(line, owner)
+        elif kind == EVENT_SWITCH:
+            sim.switch_task(owner)
+        else:
+            sim.reset_counts()
+    return sim
+
+
+def _config(n_sets: int, ways: int) -> SNCConfig:
+    return SNCConfig(size_bytes=2 * n_sets * ways,
+                     assoc=ways if n_sets > 1 else None)
+
+
+def _switch_events(seed: int, n: int = 3_000, switch_every: float = 90,
+                   tasks: int = 3):
+    """Three tasks over one shared line range (so one line has several
+    owners), a switch about every ``switch_every`` events to a random
+    task (itself included), and about a third of the writebacks owned
+    by a random task."""
+    rng = random.Random(seed)
+    events = []
+    run = 0
+    for _ in range(n):
+        if rng.random() < 1 / switch_every:
+            run = rng.randrange(tasks)
+            events.append((EVENT_SWITCH, 0, run))
+            continue
+        kind = rng.choice((EVENT_READ, EVENT_READ, EVENT_ALLOC,
+                           EVENT_WRITEBACK))
+        owner = 0
+        if kind == EVENT_WRITEBACK:
+            owner = rng.randrange(tasks) if rng.random() < 0.3 else run
+        events.append((kind, int(rng.triangular(0, 96, 0)), owner))
+    return events
+
+
+def _with(events, *inserts):
+    """``events`` with ``(position, event)`` pairs spliced in."""
+    events = list(events)
+    for position, event in sorted(inserts, reverse=True):
+        events.insert(position, event)
+    return events
+
+
+_RESET = (EVENT_RESET, 0, 0)
+SWITCH_STREAMS = {
+    "reset inside a window": _with(_switch_events(1), (1_400, _RESET)),
+    "no reset": _switch_events(2),
+    "two resets": _with(_switch_events(3), (500, _RESET),
+                        (2_200, _RESET)),
+    "two resets in one window": _with(_switch_events(4, switch_every=10**9),
+                                      (900, _RESET), (1_700, _RESET)),
+    "a switch every event": _with(_switch_events(5, switch_every=1.5),
+                                  (1_000, _RESET)),
+    "reset then switch": _with(_switch_events(6, switch_every=10**9),
+                               (800, _RESET), (801, (EVENT_SWITCH, 0, 1))),
+    "switch then reset": _with(_switch_events(7, switch_every=10**9),
+                               (800, (EVENT_SWITCH, 0, 2)), (801, _RESET)),
+    "foreign owners, no switch": _switch_events(8, switch_every=10**9),
+    "switches at both ends": _with(_switch_events(9), (0, (EVENT_SWITCH,
+                                                           0, 1)),
+                                   (3_000, (EVENT_SWITCH, 0, 2))),
+    "switches only": [(EVENT_SWITCH, 0, task) for task in (1, 0, 0, 2)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("strategy", list(SwitchStrategy))
+@pytest.mark.parametrize("name", sorted(SWITCH_STREAMS))
+def test_tier_matches_the_per_event_sim_on_switch_streams(name, strategy):
+    events = SWITCH_STREAMS[name]
+    kinds = array("B", (kind for kind, _line, _aux in events))
+    lines = array("Q", (line for _kind, line, _aux in events))
+    aux = array("Q", (owner for _kind, _line, owner in events))
+    expected = []
+    for n_sets, ways in GEOMETRIES:
+        sim = SNCTimingSim(_config(n_sets, ways), switch_strategy=strategy)
+        expected.append(sim_counters(per_event(sim, kinds, lines, aux)))
+    assert price_stack(GEOMETRIES, kinds, lines, aux, 0,
+                       strategy is SwitchStrategy.FLUSH) == expected
+
+
 # ------------------------------------------------------------- routing
 
 
@@ -161,9 +274,9 @@ def tier_calls(monkeypatch):
     """Every ``geometries`` list the batch pricer hands the tier."""
     calls = []
 
-    def spy(geometries, kinds, lines):
+    def spy(geometries, *args):
         calls.append(list(geometries))
-        return price_stack(geometries, kinds, lines)
+        return price_stack(geometries, *args)
 
     monkeypatch.setattr(batch, "price_stack", spy)
     return calls
@@ -193,7 +306,9 @@ def _mixed_task(integrity=()):
 def test_only_plain_lru_lanes_take_the_tier(recording, tier_calls):
     integrity = (IntegrityModelSpec(key="mac", provider="mac"),)
     price_batch([_mixed_task(integrity)], recording)
-    assert tier_calls == [[(1024, 8), (1, 4096), (1024, 32), (1, 16384)]]
+    # The split lane's counters never overflow on this stream.
+    assert tier_calls == [[(1024, 8), (1, 4096), (1, 4096), (1024, 32),
+                           (1, 16384)]]
 
 
 def test_mixed_request_returns_canonical_lane_order(recording,
@@ -208,27 +323,41 @@ def test_mixed_request_returns_canonical_lane_order(recording,
     assert events == expected
 
 
-def test_switch_streams_stay_on_batch(tier_calls):
-    scenario = record_source(MultiTaskInterleaver(["art", "vpr"], 1_000),
-                             scale=_SCALE, include_alt_l2=False)
-    configs = {"lru8k": SNCConfig(size_bytes=8 * 1024)}
-    strategies = (SwitchStrategy.FLUSH, SwitchStrategy.TAG)
-    scenario.replay_batch([
-        ReplayRequest(snc_configs=configs, strategy=strategy)
-        for strategy in strategies
-    ])
-    # Even with every writeback owned by the first task, a switch
-    # stream is not one task's LRU stack: FLUSH empties the SNC.
-    first = scenario.tasks[0].xom_id
-    aux = array("Q", (first if kind == EVENT_WRITEBACK else owner
-                      for kind, owner in zip(scenario.kinds, scenario.aux)))
-    for strategy in strategies:
-        sims = _build_sims(configs, None, strategy)
+@pytest.fixture(scope="module")
+def scenario():
+    return record_source(MultiTaskInterleaver(["art", "vpr"], 1_000),
+                         scale=_SCALE, include_alt_l2=False)
+
+
+def _price(sims, recording, aux=None) -> dict:
+    """Batch-price ``sims`` over the recording's columns (``aux``
+    replaced when given); their counts and SNC stats by key."""
+    batch.replay_events_batch(list(sims.values()), [], recording.kinds,
+                              recording.lines,
+                              recording.aux if aux is None else aux)
+    return {key: (asdict(sim.counts), asdict(sim.snc.stats))
+            for key, sim in sims.items()}
+
+
+_SWITCH_CONFIGS = {"lru8k": SNCConfig(size_bytes=8 * 1024),
+                   "split8k_16way": SNCConfig(size_bytes=8 * 1024,
+                                              assoc=16)}
+_SWITCH_SCHEMES = {"lru8k": "otp", "split8k_16way": "otp_split"}
+
+
+@pytest.mark.parametrize("strategy", list(SwitchStrategy))
+def test_switch_stream_lanes_take_the_tier(scenario, tier_calls,
+                                           monkeypatch, strategy):
+    def price():
+        sims = _build_sims(_SWITCH_CONFIGS, _SWITCH_SCHEMES, strategy)
         for sim in sims.values():
-            sim.begin_task(first)
-        batch.replay_events_batch(list(sims.values()), [], scenario.kinds,
-                                  scenario.lines, aux)
-    assert tier_calls == []
+            sim.begin_task(scenario.tasks[0].xom_id)
+        return _price(sims, scenario)
+
+    tier = price()
+    assert tier_calls == [[(1, 4096), (256, 16)]]
+    _batch_only(monkeypatch)
+    assert price() == tier
 
 
 def test_warm_snc_stays_on_batch(recording, tier_calls, monkeypatch):
@@ -250,14 +379,57 @@ def test_warm_snc_stays_on_batch(recording, tier_calls, monkeypatch):
     assert price() == warm
 
 
-def test_foreign_writeback_owner_stays_on_batch(recording, tier_calls):
-    # A writeback owned by another task takes the descheduled path.
+def test_foreign_writeback_owner_takes_the_tier(recording, tier_calls,
+                                                monkeypatch):
+    # A writeback owned by another task takes the descheduled path: an
+    # ordinary write under its owner's tag (TAG, the figure path's
+    # default), which the tier keys apart.
     aux = array("Q", recording.aux)
     aux[recording.kinds.index(EVENT_WRITEBACK)] = 7
-    sims = _build_sims({"lru8k": SNCConfig(size_bytes=8 * 1024)}, None)
-    batch.replay_events_batch(list(sims.values()), [], recording.kinds,
-                              recording.lines, aux)
+    configs = {"lru8k": SNCConfig(size_bytes=8 * 1024)}
+    tier = _price(_build_sims(configs, None), recording, aux)
+    assert tier_calls == [[(1, 4096)]]
+    _batch_only(monkeypatch)
+    assert _price(_build_sims(configs, None), recording, aux) == tier
+
+
+def _narrow_split(config, strategy):
+    """A split-counter sim with 1-bit counters: a line's second
+    writeback overflows it to direct encryption."""
+    return SNCTimingSim(
+        config, switch_strategy=strategy,
+        core_factory=lambda snc, **kwargs: SplitSequenceCore(
+            snc, counter_bits=1, **kwargs),
+    )
+
+
+@pytest.mark.parametrize("stream, strategy", [
+    ("single task", SwitchStrategy.TAG),
+    ("switches", SwitchStrategy.FLUSH),
+    ("switches", SwitchStrategy.TAG),
+])
+def test_overflowing_split_lanes_stay_on_batch(scenario, tier_calls,
+                                               stream, strategy):
+    # gzip re-reads lines it wrote, so retired lines read direct.
+    source = scenario if stream == "switches" else record_source(
+        SingleBenchmark(BY_NAME["gzip"]), scale=_SCALE,
+        include_alt_l2=False)
+    configs = (SNCConfig(size_bytes=8 * 1024),
+               SNCConfig(size_bytes=8 * 1024, assoc=16))
+    priced = {}
+    for index, config in enumerate(configs):
+        sim = _narrow_split(config, strategy)
+        sim.begin_task(source.tasks[0].xom_id)
+        priced[index] = sim
+    _price(priced, source)
     assert tier_calls == []
+    for index, config in enumerate(configs):
+        sim = _narrow_split(config, strategy)
+        sim.begin_task(source.tasks[0].xom_id)
+        per_event(sim, source.kinds, source.lines, source.aux)
+        assert sim_counters(priced[index]) == sim_counters(sim)
+        assert sim.counts.rejected_updates > 0
+        assert sim.counts.direct_reads > 0
 
 
 def test_tier_stats_equal_the_batch_pricer(recording, monkeypatch):
