@@ -104,9 +104,17 @@ class IntegrityEventCounts(IntegrityStats):
 
 
 class IntegrityTimingModel(Protocol):
-    """What the trace pipeline drives, one per requested configuration."""
+    """What the trace pipeline drives, one per requested configuration:
+    production calls only :meth:`replay_columns`, the per-event methods
+    are the oracle's and the functional cross-check's."""
 
     counts: IntegrityEventCounts
+
+    def replay_columns(self, kinds, lines) -> None:
+        """Price a recording's ``kinds``/``lines`` columns, counting
+        exactly what the per-event methods would (a RESET resets the
+        counts and keeps warm state; switches are ignored)."""
+        ...
 
     def verify(self, line_index: int, critical: bool = True) -> None:
         """An L2 miss fetched this line through the engine."""

@@ -58,6 +58,25 @@ class MACTimingModel:
     def reset_counts(self) -> None:
         self.counts.reset()
 
+    def replay_columns(self, kinds, lines) -> None:
+        """Closed form: one hash per verify and update after the last
+        RESET."""
+        # Imported here: repro.timing.model imports this package.
+        from repro.timing import model as events
+
+        if events.EVENT_RESET in kinds:
+            self.reset_counts()
+            kinds = kinds[len(kinds) - kinds[::-1].index(events.EVENT_RESET):]
+        reads = kinds.count(events.EVENT_READ)
+        verifies = reads + kinds.count(events.EVENT_ALLOC)
+        updates = kinds.count(events.EVENT_WRITEBACK)
+        counts = self.counts
+        counts.verifications += verifies
+        counts.updates += updates
+        counts.hashes_computed += verifies + updates
+        counts.verify_hashes += verifies
+        counts.critical_hashes += reads
+
 
 SPEC = register(IntegritySpec(
     key="mac",

@@ -269,9 +269,11 @@ class SequenceNumberCache:
         return spilled
 
     def drop_task(self, xom_id: int) -> list[Evicted]:
-        """Spill only one task's entries (targeted flush)."""
+        """Spill only one task's entries (targeted flush), set by set in
+        LRU order.  Empty sets are skipped in C, so a FLUSH switch costs
+        what the occupied sets hold, not the set count."""
         spilled = []
-        for entries in self._sets:
+        for entries in filter(None, self._sets):
             doomed = [key for key in entries if key[1] == xom_id]
             for key in doomed:
                 spilled.append(Evicted(key[0], entries.pop(key), key[1]))

@@ -7,8 +7,10 @@ configuration.  A sweep prices the *same* recorded stream through many
 configurations, so walking it once per configuration would repeat the
 decode work (column iteration, kind dispatch) for no reason.
 :func:`replay_events_batch` inverts the loops: one pass over the shared
-columns applies each event to every live sim (and every integrity
-model), so the per-event decode is paid once for the whole batch.
+columns applies each event to every live sim, so the per-event decode
+is paid once for the whole batch.  Integrity models never ride that
+pass: each prices the recording in one ``replay_columns`` call, so a
+request whose SNC lanes all take the stack tier runs no generated pass.
 
 Inner-loop Python frames are what actually dominate per-event
 pricing — the Algorithm 1 miss arm alone crosses five of them (hook →
@@ -87,8 +89,8 @@ _COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp",
 _RESET_COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp",
                    "sw", "ss")
 
-#: Compiled batch functions keyed by ``(lane shapes, n_models,
-#: has_switch)``.  The key depends only on lane *shapes*, so every
+#: Compiled batch functions keyed by ``(lane shapes, has_switch)``.
+#: The key depends only on lane *shapes*, so every
 #: shard of a lane-sharded pass whose lanes share a composition reuses
 #: one compile — pricing a lane subset never recompiles per shard.
 #: Sharding does multiply the distinct shapes a long-lived warm worker
@@ -276,8 +278,7 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
     ] + ["        " + ln for ln in classify]
 
 
-def _build_source(shapes: Sequence[tuple], n_models: int,
-                  has_switch: bool) -> str:
+def _build_source(shapes: Sequence[tuple], has_switch: bool) -> str:
     """Render the specialized batch function for one batch shape."""
     n = len(shapes)
     lanes = range(n)
@@ -285,7 +286,7 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
     # when they all agree, one (line, xom) key per event serves every
     # lane.  With switches the xom is a rebindable local and keys are
     # built per lane (scenario streams — rare next to sweep traffic).
-    shared_key = (not has_switch and n > 0
+    shared_key = (not has_switch
                   and len({shape[6] for shape in shapes}) == 1)
     if has_switch:
         xoms = {i: f"x{i}" for i in lanes}
@@ -295,7 +296,7 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
         keys = {i: ("key" if shared_key
                     else f"(line, {shapes[i][6]})") for i in lanes}
 
-    out = ["def _batch(kinds, lines, aux, lanes, models, OV, SQ, UH, RJ):"]
+    out = ["def _batch(kinds, lines, aux, lanes, OV, SQ, UH, RJ):"]
 
     def emit(depth, lns):
         out.extend("    " * depth + ln for ln in lns)
@@ -307,9 +308,6 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
         emit(1, [" = ".join(f"{name}{i}" for name in _COUNTERS) + " = 0"])
         if has_switch:
             emit(1, [f"x{i} = {shapes[i][6]}"])
-    for j in range(n_models):
-        emit(1, [f"v{j} = models[{j}].verify",
-                 f"w{j} = models[{j}].update"])
 
     def emit_keys(needs: int) -> None:
         """Per-lane key assignments for the switch case; ``needs``
@@ -326,22 +324,16 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
     emit_keys(needs=1)  # fast_read arms touch the entry dict
     for i in lanes:
         emit(3, _read_arm(i, shapes[i], keys[i]))
-    for j in range(n_models):
-        emit(3, [f"v{j}(line, critical=True)"])
     emit(2, [f"elif kind == {EVENT_WRITEBACK}:"])
     emit_keys(needs=2)  # fast_write arms touch the entry dict
     for i in lanes:
         emit(3, _write_arm(i, shapes[i], keys[i], xoms[i]))
-    for j in range(n_models):
-        emit(3, [f"w{j}(line)"])
     emit(2, [f"elif kind == {EVENT_ALLOC}:"])
     emit_keys(needs=1)
     for i in lanes:
         emit(3, _alloc_arm(i, shapes[i], keys[i]))
-    for j in range(n_models):
-        emit(3, [f"v{j}(line, critical=False)"])
     emit(2, [f"elif kind == {EVENT_SWITCH}:"])
-    if has_switch and n:
+    if has_switch:
         for i in lanes:
             emit(3, [
                 f"sw{i} += 1",
@@ -361,10 +353,6 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
         emit(3, [f"cn{i}.reset()",
                  " = ".join(f"{name}{i}" for name in _RESET_COUNTERS)
                  + " = 0"])
-    for j in range(n_models):
-        emit(3, [f"models[{j}].reset_counts()"])
-    if not lanes and not n_models:
-        emit(3, ["pass"])
     emit(1, ["return (" + ", ".join(
         "(" + ", ".join(f"{name}{i}" for name in _COUNTERS) + ")"
         for i in lanes
@@ -372,14 +360,14 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
     return "\n".join(out) + "\n"
 
 
-def _compile(shapes: tuple, n_models: int, has_switch: bool):
+def _compile(shapes: tuple, has_switch: bool):
     global _compiled_hits, _compiled_misses
-    key = (shapes, n_models, has_switch)
+    key = (shapes, has_switch)
     fn = _COMPILED.get(key)
     if fn is None:
         _compiled_misses += 1
         namespace: dict = {}
-        exec(_build_source(shapes, n_models, has_switch), namespace)
+        exec(_build_source(shapes, has_switch), namespace)
         fn = namespace["_batch"]
         _COMPILED[key] = fn
         while len(_COMPILED) > _COMPILED_CAPACITY:
@@ -442,7 +430,8 @@ def _stack_lanes(sims: Sequence[SNCTimingSim], kinds,
 def replay_events_batch(sims: Sequence[SNCTimingSim],
                         integrity_models: Sequence,
                         kinds, lines, aux) -> None:
-    """Apply one recorded column set to every sim and integrity model.
+    """Apply one recorded column set to every sim and integrity model
+    (each model through its ``replay_columns``).
 
     ``kinds`` / ``lines`` / ``aux`` are the parallel typed columns of a
     :class:`~repro.eval.record.Recording`.  Scenario sims must have had
@@ -454,20 +443,19 @@ def replay_events_batch(sims: Sequence[SNCTimingSim],
     takes (:func:`_stack_lanes`) get their counts and SNC stats but
     keep an empty SNC and spill table, and their first task scheduled.
     """
-    if not sims and not integrity_models:
-        return
+    for model in integrity_models:
+        model.replay_columns(kinds, lines)
     has_switch = EVENT_SWITCH in kinds
     on_stack = _stack_lanes(sims, kinds, lines)
     batched = [lane for lane, flag in enumerate(on_stack) if not flag]
-    if batched or integrity_models:
+    if batched:
         shapes = tuple(_lane_shape(sims[lane], has_switch)
                        for lane in batched)
-        fn = _compile(shapes, len(integrity_models), has_switch)
+        fn = _compile(shapes, has_switch)
         results = fn(
             kinds, lines, aux,
             [_lane_binds(sims[lane], shape)
              for lane, shape in zip(batched, shapes)],
-            integrity_models,
             ReadClass.OVERLAPPED, ReadClass.SEQNUM_MISS,
             WriteClass.UPDATE_HIT, WriteClass.REJECTED,
         )

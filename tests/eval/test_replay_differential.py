@@ -323,7 +323,8 @@ SWITCH_STREAMS = {
 
 #: LRU lanes under both schemes, fully and set associative (two lanes
 #: share a set count); the 2KB lanes fill inside a quantum.  Few sets
-#: each: every FLUSH switch scans every set on the per-event paths.
+#: each: every FLUSH switch visits each occupied set on the per-event
+#: paths.
 SWITCH_SNCS = {
     "lru2k": (SNCConfig(size_bytes=2 * 1024), "otp"),
     "split2k": (SNCConfig(size_bytes=2 * 1024), "otp_split"),

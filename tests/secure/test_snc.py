@@ -1,11 +1,14 @@
 """Tests for the Sequence Number Cache data structure."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.secure.snc import (
+    Evicted,
     SequenceNumberCache,
     SNCConfig,
     SNCPolicy,
@@ -174,6 +177,33 @@ class TestXomIdTagging:
         spilled = snc.drop_task(1)
         assert [(e.line_index, e.seq) for e in spilled] == [(1, 10)]
         assert snc.peek(2, xom_id=2) == 20
+
+    @pytest.mark.parametrize("assoc", [None, 2, 4])
+    def test_drop_task_order_over_sparse_sets(self, assoc):
+        """Set by set, LRU first, only the dropped task's entries — the
+        order a full scan of every set gives, with most sets empty."""
+        snc = tiny_snc(entries=256, assoc=assoc)
+        rng = random.Random(assoc)
+        for _ in range(40):
+            line, owner = rng.randrange(0, 400, 7), rng.randrange(3)
+            if snc.query(line, owner) is None:
+                snc.insert(line, rng.randrange(100), owner)
+        before = {index: list(entries.items())
+                  for index, entries in enumerate(snc._sets)}
+        expected = [
+            Evicted(line, seq, owner)
+            for index in range(snc._n_sets)
+            for (line, owner), seq in before[index] if owner == 1
+        ]
+        assert expected and len(expected) < len(snc)
+        if assoc is not None:
+            assert not all(snc._sets)  # some sets are empty
+        assert snc.drop_task(1) == expected
+        assert {index: list(entries.items())
+                for index, entries in enumerate(snc._sets)} == {
+            index: [item for item in items if item[0][1] != 1]
+            for index, items in before.items()
+        }
 
     def test_flush_spills_everything(self):
         snc = tiny_snc()

@@ -8,11 +8,14 @@ These tests pin the two layers together the same way
 honest reference stream drives both, and every
 :class:`~repro.secure.integrity.IntegrityStats` field must agree —
 including the trusted node cache's hit count, whose FIFO behaviour the
-model mirrors digest-free.
+model mirrors digest-free.  The same file pins each model's columnar
+``replay_columns`` (what production prices with) to its own per-event
+methods.
 """
 
 import random
-from dataclasses import fields
+from array import array
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -22,12 +25,21 @@ from repro.secure.integrity import (
     all_integrities,
     get_integrity,
 )
+from repro.secure.integrity.__main__ import replay_per_event
+from repro.timing.model import (
+    EVENT_ALLOC,
+    EVENT_READ,
+    EVENT_RESET,
+    EVENT_SWITCH,
+    EVENT_WRITEBACK,
+)
 
 # Small geometry: the pure-Python SHA-256 costs ~1.5ms per node, so the
 # functional side of each cross-check pair is the budget.  Depth 5 still
 # exercises every walk shape (cache hits at every level, full walks).
 _LINE_BYTES = 128
 _N_LINES = 32
+_DEPTH = _N_LINES.bit_length() - 1
 
 
 def _verifying_specs():
@@ -74,6 +86,24 @@ def _stats_dict(stats) -> dict:
     }
 
 
+def _watch_self_evictions(provider) -> list:
+    """Record every store the functional provider makes into a full
+    node cache whose oldest entry is the node being stored: the pop
+    evicts it and the store re-inserts it."""
+    self_evicted = []
+    store = provider._cache_store
+
+    def watched(level, index, digest):
+        cache = provider._node_cache
+        if (len(cache) >= provider._node_cache_entries
+                and next(iter(cache)) == (level, index)):
+            self_evicted.append((level, index))
+        store(level, index, digest)
+
+    provider._cache_store = watched
+    return self_evicted
+
+
 def random_operations(seed, n_ops=300, n_lines=_N_LINES):
     rng = random.Random(seed)
     return [
@@ -98,17 +128,22 @@ class TestRegistryConsistency:
         assert model.counts.verifications > 0
         assert model.counts.hashes_computed > 0
 
-    @pytest.mark.parametrize("entries", [4, 16])
+    @pytest.mark.parametrize("entries", [1, 2, 3, 4, _DEPTH + 1, 16])
     def test_node_cache_occupancy_mirrors(self, entries):
         """The cached tree's FIFO trusted cache — including the evict-
         then-reinsert subtleties — must count identically across the
         layers at every cache size."""
         spec = get_integrity("hash_tree_cached")
         provider, model = _build_pair(spec, node_cache_entries=entries)
+        self_evicted = _watch_self_evictions(provider)
         _install_all(provider, model)
         _drive_pair(provider, model, random_operations(99, n_ops=600))
         assert _stats_dict(provider.stats) == _stats_dict(model.counts)
-        assert model.counts.node_cache_hits > 0
+        # One entry only ever holds the root, which no walk checks.
+        assert (model.counts.node_cache_hits > 0) == (entries > 1)
+        # Below a path's length the oldest entry is always a lower node
+        # of the path being stored; from there on the quirk fires.
+        assert bool(self_evicted) == (entries >= _DEPTH + 1)
 
     def test_uncached_tree_never_hits(self):
         provider, model = _build_pair(get_integrity("hash_tree"))
@@ -157,3 +192,61 @@ class TestRegistryConsistency:
         model.update(_N_LINES + 5)
         assert model.counts.verifications == 0
         assert model.counts.updates == 0
+
+
+# ------------------------------------------------------- replay_columns
+
+#: A replayed region starting here has columns reaching below it too.
+_BASE_LINE = 8
+
+
+def random_columns(seed, resets, n_events=2_000):
+    """Recording-shaped columns: reads, allocates, writebacks and
+    switches over the covered lines plus lines below and above them,
+    with ``resets`` RESETs at random positions."""
+    rng = random.Random(seed)
+    kinds = array("B", (rng.choice((EVENT_READ, EVENT_READ, EVENT_ALLOC,
+                                    EVENT_WRITEBACK, EVENT_WRITEBACK,
+                                    EVENT_SWITCH))
+                        for _ in range(n_events)))
+    lines = array("Q", (0 if kind == EVENT_SWITCH
+                        else rng.randrange(_N_LINES + 2 * _BASE_LINE)
+                        for kind in kinds))
+    for _ in range(resets):
+        position = rng.randrange(len(kinds) + 1)
+        kinds.insert(position, EVENT_RESET)
+        lines.insert(position, 0)
+    return kinds, lines
+
+
+#: Every verifying spec at its default cache (the uncached tree has
+#: none), then the cached tree over a range of node-cache sizes.
+_COLUMN_CASES = [(spec.key, 0) for spec in _verifying_specs()] + [
+    ("hash_tree_cached", entries) for entries in (1, 2, 3, _DEPTH + 1, 16)
+]
+
+
+@pytest.mark.parametrize("base_line", [0, _BASE_LINE])
+@pytest.mark.parametrize("resets", [0, 1, 2])
+@pytest.mark.parametrize("spec_key, entries", _COLUMN_CASES)
+def test_replay_columns_match_per_event(spec_key, entries, resets,
+                                        base_line):
+    config = IntegrityConfig(base_addr=base_line * _LINE_BYTES,
+                             n_lines=_N_LINES, line_bytes=_LINE_BYTES,
+                             node_cache_entries=entries)
+    spec = get_integrity(spec_key)
+    kinds, lines = random_columns(resets * 10 + entries, resets)
+    assert kinds.count(EVENT_RESET) == resets
+    expected = spec.build_timing_model(config)
+    replay_per_event(expected, kinds, lines)
+    whole = spec.build_timing_model(config)
+    whole.replay_columns(kinds, lines)
+    assert asdict(whole.counts) == asdict(expected.counts)
+    # Warm state carries across calls: two halves equal the whole.
+    halves = spec.build_timing_model(config)
+    middle = len(kinds) // 2
+    halves.replay_columns(kinds[:middle], lines[:middle])
+    halves.replay_columns(kinds[middle:], lines[middle:])
+    assert asdict(halves.counts) == asdict(expected.counts)
+    assert expected.counts.verifications > 0
+    assert expected.counts.updates > 0

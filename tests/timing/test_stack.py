@@ -7,8 +7,9 @@ plain Algorithm 1 from stack distances instead of simulating each lane,
 the per-event :class:`~repro.timing.model.SNCTimingSim` on synthetic
 FLUSH and TAG switch streams; the routing tests pin which lanes
 :func:`~repro.timing.batch.replay_events_batch` hands it (split-counter
-lanes only while no counter overflows) and that a request mixing tier
-and batch lanes comes back whole and in order.
+lanes only while no counter overflows), that a request mixing tier
+and batch lanes comes back whole and in order, and that integrity
+models never ride the generated batch pass.
 """
 
 from __future__ import annotations
@@ -20,16 +21,23 @@ from dataclasses import asdict
 
 import pytest
 
+import repro.secure.schemes.otp_split as otp_split
 import repro.timing.batch as batch
 from repro.eval.jobs import (
     IntegrityModelSpec,
     SimulationTask,
     SNCSpec,
     price_batch,
+    replay_request_for,
     task_lanes,
 )
-from repro.eval.pipeline import SimulationScale, _build_sims
+from repro.eval.pipeline import (
+    SimulationScale,
+    _build_integrity_models,
+    _build_sims,
+)
 from repro.eval.record import record_source
+from repro.secure.integrity.__main__ import replay_per_event
 from repro.secure.schemes.otp_split import SplitSequenceCore
 from repro.secure.snc import SNCConfig, SNCPolicy
 from repro.secure.snc_policy import SwitchStrategy
@@ -448,3 +456,49 @@ def test_tier_stats_equal_the_batch_pricer(recording, monkeypatch):
     assert tier["c_lru8k"][1]["evictions"] > 0  # capacity bites
     _batch_only(monkeypatch)
     assert tier == price()
+
+
+# ---------------------------------------------------- integrity routing
+
+_INTEGRITY = (IntegrityModelSpec(key="mac", provider="mac"),
+              IntegrityModelSpec(key="tree_nc256",
+                                 provider="hash_tree_cached",
+                                 node_cache_entries=256))
+
+
+def test_integrity_only_request_runs_no_generated_pass(recording,
+                                                       tier_calls):
+    task = SimulationTask(
+        workload="equake", scale=_SCALE, integrity=_INTEGRITY,
+        snc_configs=(SNCSpec(key="lru64k", size_bytes=64 * 1024),))
+    _cached, hits, compiles = batch.compiled_batch_info()
+    [events] = price_batch([task], recording)
+    assert tier_calls == [[(1, 32768)]]
+    assert batch.compiled_batch_info()[1:] == (hits, compiles)
+    assert events.integrity["tree_nc256"].node_cache_hits > 0
+
+
+def test_integrity_beside_batched_lanes_equals_per_event(recording,
+                                                         tier_calls,
+                                                         monkeypatch):
+    # 1-bit split counters: a line's second writeback overflows.
+    monkeypatch.setattr(otp_split, "COUNTER_BITS", 1)
+    task = SimulationTask(workload="equake", scale=_SCALE,
+                          integrity=_INTEGRITY,
+                          snc_configs=MIXED[:4])
+    [events] = price_batch([task], recording)
+    assert tier_calls == [[(1024, 8), (1, 4096)]]
+    request = replay_request_for(task)
+    sims = _build_sims(dict(request.snc_configs),
+                       dict(request.snc_schemes))
+    models = _build_integrity_models(dict(request.integrity_configs),
+                                     dict(request.integrity_providers))
+    kinds, lines = recording.kinds, recording.lines
+    for sim in sims.values():
+        per_event(sim, kinds, lines, recording.aux)
+    for model in models.values():
+        replay_per_event(model, kinds, lines)
+    assert events.snc == {key: sim.counts for key, sim in sims.items()}
+    assert events.integrity == {key: model.counts
+                                for key, model in models.items()}
+    assert events.snc["d_split"].rejected_updates > 0
