@@ -35,9 +35,9 @@ from repro.eval.api import (
     default_cache_dir,
     format_run_stats,
     format_scenario_table,
-    index_scenario_results,
+    merge_jobs,
     parse_scale,
-    run_scenario_tasks,
+    run_tasks,
     scenario_jobs,
     scenario_slowdowns,
     scheme_config_key,
@@ -52,7 +52,8 @@ MIX_CONTENDS = ("equake", "mcf")
 
 def run_mix(workloads, quantum=2000, scale=None, n_jobs=1, cache=None,
             seed=1, progress=None, trace_store=None):
-    """Scenario jobs -> scheduler -> {(label, strategy): events}.
+    """Scenario jobs -> scheduler -> ({"label/strategy": events},
+    task results).
 
     This is the engine's best case: the FLUSH and TAG tasks of one mix
     share a single record pass (the L2 stream does not depend on the
@@ -60,10 +61,10 @@ def run_mix(workloads, quantum=2000, scale=None, n_jobs=1, cache=None,
     """
     jobs = scenario_jobs(workloads, quantum=quantum,
                          scale=scale or QUICK_SCALE, seed=seed)
-    results = run_scenario_tasks(jobs, n_jobs=n_jobs, cache=cache,
-                                 progress=progress,
-                                 trace_store=trace_store)
-    return index_scenario_results(results), results
+    results = run_tasks(merge_jobs(jobs), n_jobs=n_jobs, cache=cache,
+                        progress=progress, trace_store=trace_store)
+    return ({result.task.workload: result.events for result in results},
+            results)
 
 
 # ------------------------------------------------------------------ pytest
@@ -75,9 +76,9 @@ def test_flush_vs_tag_when_working_sets_fit(benchmark, record_figure):
     events, _ = benchmark.pedantic(
         lambda: run_mix(MIX_FITS), rounds=2, iterations=1
     )
-    label = next(iter(events))[0]
-    flush = events[(label, "flush")].snc[scheme_config_key("otp")]
-    tag = events[(label, "tag")].snc[scheme_config_key("otp")]
+    label = next(iter(events)).rsplit("/", 1)[0]
+    flush = events[f"{label}/flush"].snc[scheme_config_key("otp")]
+    tag = events[f"{label}/tag"].snc[scheme_config_key("otp")]
 
     record_figure(
         "ablation_context_switch",
@@ -90,8 +91,8 @@ def test_flush_vs_tag_when_working_sets_fit(benchmark, record_figure):
     # TAG keeps warm state across quanta: more overlapped reads, and a
     # strictly lower priced slowdown, for every registered scheme.
     assert tag.overlapped_reads > flush.overlapped_reads
-    flush_slow = scenario_slowdowns(events[(label, "flush")])
-    tag_slow = scenario_slowdowns(events[(label, "tag")])
+    flush_slow = scenario_slowdowns(events[f"{label}/flush"])
+    tag_slow = scenario_slowdowns(events[f"{label}/tag"])
     for scheme in SCENARIO_SCHEMES:
         assert tag_slow[scheme] < flush_slow[scheme]
 
@@ -103,8 +104,8 @@ def test_tag_capacity_pressure(benchmark):
     events, _ = benchmark.pedantic(
         lambda: run_mix(MIX_CONTENDS), rounds=2, iterations=1
     )
-    label = next(iter(events))[0]
-    tag = events[(label, "tag")].snc[scheme_config_key("otp")]
+    label = next(iter(events)).rsplit("/", 1)[0]
+    tag = events[f"{label}/tag"].snc[scheme_config_key("otp")]
     assert tag.switch_spills == 0
     # Cross-task evictions show up as ordinary table spills under TAG.
     assert tag.table_spills > 0
@@ -167,9 +168,10 @@ def main() -> int:
     print(format_scenario_table(all_events))
 
     scenarios = {}
-    for (label, strategy), events in sorted(all_events.items()):
+    for name, events in sorted(all_events.items(),
+                               key=lambda item: item[0].rsplit("/", 1)):
         counts = events.snc[scheme_config_key("otp")]
-        scenarios[f"{label}/{strategy}"] = {
+        scenarios[name] = {
             "slowdown_pct": {
                 scheme: round(value, 4)
                 for scheme, value in scenario_slowdowns(events).items()

@@ -37,10 +37,11 @@ from repro.eval.api import (
     ResultCache,
     default_cache_dir,
     format_integrity_table,
+    integrity_jobs,
     integrity_slowdowns,
     integrity_table_keys,
     parse_scale,
-    run_integrity_sweep,
+    run_jobs,
 )
 from repro.secure.integrity import HashTreeIntegrity, MACIntegrity
 
@@ -50,9 +51,9 @@ _LINE = bytes(range(128))
 def run_sweep(workloads=INTEGRITY_WORKLOADS, scale=None, n_jobs=1,
               cache=None, seed=1, progress=None):
     """Integrity jobs -> scheduler -> {workload: events}."""
-    return run_integrity_sweep(
-        workloads, scale=scale or QUICK_SCALE, n_jobs=n_jobs,
-        cache=cache, seed=seed, progress=progress,
+    return run_jobs(
+        integrity_jobs(workloads, scale=scale or QUICK_SCALE, seed=seed),
+        n_jobs=n_jobs, cache=cache, progress=progress,
     )
 
 

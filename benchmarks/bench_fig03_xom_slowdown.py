@@ -1,6 +1,7 @@
 """Figure 3: XOM slowdown per benchmark (the paper's motivation).
 
-The XOM column is the calibration anchor (DESIGN.md §5), so the measured
+The XOM column is the calibration anchor
+(``repro.timing.model.calibrate_compute_cycles``), so the measured
 values must match the paper essentially exactly — this bench doubles as
 the calibration's self-test.  The timed portion is one full benchmark
 simulation at reduced scale — record pass plus batch pricing: the cost

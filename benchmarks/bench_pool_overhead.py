@@ -53,17 +53,19 @@ from pathlib import Path
 from unittest import mock
 
 from repro.eval.api import (
-    ExperimentJob,
+    Job,
     QUICK_SCALE,
     SNCSpec,
     SimulationScale,
+    SourceSpec,
     TraceStore,
     events_to_dict,
     merge_jobs,
     parse_scale,
+    plan_jobs,
     pool_stats,
     reset_pool_stats,
-    run_figures,
+    run_jobs,
     run_tasks,
     shutdown_worker_pool,
 )
@@ -90,8 +92,8 @@ def _sweep(figures, scale: SimulationScale, n_jobs: int,
     for real."""
     started = time.perf_counter()
     for figure in figures:
-        run_figures([figure], scale=scale, n_jobs=n_jobs,
-                    trace_store=trace_store)
+        run_jobs(plan_jobs([f"figure{figure}"], scale=scale),
+                 n_jobs=n_jobs, trace_store=trace_store)
     return time.perf_counter() - started
 
 
@@ -100,7 +102,9 @@ def warm_trace_store(figures, scale: SimulationScale,
     """Record every stream the sweep needs, once, inline — the bench
     then measures pure execution-engine overhead on warm recordings."""
     store = TraceStore(root)
-    run_figures(figures, scale=scale, n_jobs=1, trace_store=store)
+    run_jobs(plan_jobs([f"figure{figure}" for figure in figures],
+                       scale=scale),
+             n_jobs=1, trace_store=store)
     return store
 
 
@@ -144,9 +148,9 @@ def shard_sweep_tasks(scale: SimulationScale,
         for kb in SHARD_SIZES_KB
         for entry_bytes in (2, 4)
     )[:n_configs]
-    job = ExperimentJob(figure="shard-sweep", schemes=("otp",),
-                        workload=SHARD_WORKLOAD, snc_configs=specs,
-                        scale=scale)
+    job = Job(table="shard-sweep", schemes=("otp",),
+              source=SourceSpec.benchmark(SHARD_WORKLOAD), snc_configs=specs,
+              scale=scale)
     return merge_jobs([job])
 
 

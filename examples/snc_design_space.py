@@ -1,6 +1,6 @@
 """The paper's evaluation in miniature: sweep the SNC design space.
 
-Declares one :class:`~repro.eval.jobs.ExperimentJob` per representative
+Declares one :class:`~repro.eval.jobs.Job` per representative
 workload — the same job API ``python -m repro.eval`` schedules — runs them
 through the experiment scheduler at a reduced scale, and prints:
 
@@ -34,18 +34,18 @@ import sys
 
 from repro.area import figure8_area_check
 from repro.eval.api import (
-    ExperimentJob,
+    Job,
     PAPER_LATENCIES,
     ResultCache,
     SCENARIO_SCHEMES,
     SCENARIO_STRATEGIES,
     SimulationScale,
     SNCSpec,
+    SourceSpec,
     TraceStore,
     format_integrity_table,
-    run_integrity_sweep,
+    integrity_jobs,
     run_jobs,
-    run_scenarios,
     scenario_jobs,
     scenario_slowdowns,
     standard_snc_specs,
@@ -84,14 +84,15 @@ def design_space_specs() -> tuple[SNCSpec, ...]:
     return tuple(specs.values())
 
 
-def design_space_jobs() -> list[ExperimentJob]:
+def design_space_jobs() -> list[Job]:
     """One job per workload, sweeping every geometry and scheme."""
     schemes = tuple(
         spec.key for spec in all_schemes() if spec.protection is not None
     )
     return [
-        ExperimentJob(
-            figure="design-space", schemes=schemes, workload=name,
+        Job(
+            table="design-space", schemes=schemes,
+            source=SourceSpec.benchmark(name),
             snc_configs=design_space_specs(), scale=SCALE, seed=1,
         )
         for name in WORKLOADS
@@ -149,7 +150,7 @@ def print_scenario_tables(n_jobs: int) -> None:
     instantly from cached events."""
     jobs = scenario_jobs(SCENARIO_MIX, quantum=2000,
                          snc_keys=SCENARIO_SNC_KEYS, scale=SCALE)
-    results = run_scenarios(jobs, n_jobs=n_jobs, cache=ResultCache())
+    results = run_jobs(jobs, n_jobs=n_jobs, cache=ResultCache())
     label = jobs[0].source.label
     header = f"{'strategy':<9} {'scheme':<10}" + "".join(
         f" {key:>10}" for key in SCENARIO_SNC_KEYS
@@ -158,7 +159,7 @@ def print_scenario_tables(n_jobs: int) -> None:
     print(header)
     print("-" * len(header))
     for strategy in SCENARIO_STRATEGIES:
-        events = results[(label, strategy)]
+        events = results[f"{label}/{strategy}"]
         for scheme in SCENARIO_SCHEMES:
             row = f"{strategy:<9} {scheme:<10}"
             for key in SCENARIO_SNC_KEYS:
@@ -174,8 +175,8 @@ def print_integrity_table(n_jobs: int) -> None:
     mode, so re-runs price instantly from cached events."""
     names = ", ".join(spec.key for spec in all_integrities())
     print(f"registered integrity providers: {names}\n")
-    events = run_integrity_sweep(WORKLOADS, scale=SCALE, n_jobs=n_jobs,
-                                 cache=ResultCache())
+    events = run_jobs(integrity_jobs(WORKLOADS, scale=SCALE),
+                      n_jobs=n_jobs, cache=ResultCache())
     print(format_integrity_table(events))
 
 

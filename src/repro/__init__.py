@@ -7,7 +7,7 @@ work of an XOM-style secure processor off the memory-access critical path:
 a read miss costs ``MAX(memory, crypto) + 1`` instead of
 ``memory + crypto``.
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the README's repository map has the full inventory):
 
 * :mod:`repro.crypto` — from-scratch DES/3DES/AES, SHA, RSA, MACs, and the
   counter-mode pad generation.

@@ -3,7 +3,10 @@
 Everything a benchmark, example, or downstream script needs lives here
 under one import::
 
-    from repro.eval.api import run_figures, format_figure
+    from repro.eval.api import plan_jobs, run_jobs, figure5, format_figure
+
+    events = run_jobs(plan_jobs(["figure5"]), n_jobs=4)
+    print(format_figure(figure5(events)))
 
 The modules behind this facade (:mod:`~repro.eval.experiments`,
 :mod:`~repro.eval.jobs`, :mod:`~repro.eval.scheduler`, ...) are
@@ -22,12 +25,17 @@ promises:
     task-level spelling the scheduler uses.
 
 **Running experiments**
-    :func:`run_figures` (figures by number), :func:`run_scenarios` /
-    :func:`run_scenario_tasks` (§4.3 switch strategies),
-    :func:`run_integrity_sweep` (memory integrity),
-    :func:`run_all_benchmarks` / :func:`run_everything`, and the
-    lower-level :func:`run_tasks` / :func:`run_jobs`.  All take
-    ``n_jobs=``, ``cache=`` and ``trace_store=``.
+    One task family: a :class:`Task` is one trace pass — a figure pass
+    over a benchmark (:func:`SimulationTask`) or a §4.3 scenario under
+    a switch strategy (:func:`ScenarioTask`).  Tables declare
+    :class:`Job` lists — :func:`plan_jobs` (figures), :func:`scenario_jobs`
+    (switch strategies), :func:`integrity_jobs` (memory integrity) —
+    and :func:`merge_jobs` folds any mix into the minimal task list.
+    There are two run calls, and both take ``n_jobs=``, ``cache=`` and
+    ``trace_store=``: :func:`run_jobs` (jobs -> ``{task.workload:
+    events}``, what the ``figureN`` drivers and the table formatters
+    consume) and :func:`run_tasks` (tasks -> :class:`TaskResult` list,
+    in task order, for callers that want run stats).
 
 **The execution engine**
     Parallel runs (``n_jobs > 1``) reuse the process-wide warm
@@ -87,15 +95,10 @@ from repro.eval.experiments import (
     figure8,
     figure9,
     figure10,
-    index_scenario_results,
+    integrity_jobs,
     integrity_slowdowns,
     integrity_table_keys,
     plan_jobs,
-    run_all_benchmarks,
-    run_everything,
-    run_integrity_sweep,
-    run_scenario_tasks,
-    run_scenarios,
     scenario_jobs,
     scenario_slowdowns,
     scenario_snc_specs,
@@ -109,18 +112,16 @@ from repro.eval.client import (
     parse_address,
 )
 from repro.eval.jobs import (
-    AnyTask,
-    ExperimentJob,
     IntegrityModelSpec,
+    Job,
     RecordTask,
-    ScenarioJob,
     ScenarioTask,
     SNCSpec,
     SimulationTask,
     SourceSpec,
+    Task,
     execute_record as record,
     merge_jobs,
-    merge_scenario_jobs,
     merge_shard_events,
     price_batch,
     record_task_for,
@@ -179,53 +180,19 @@ from repro.eval.trace_store import TraceStore, default_trace_dir
 from repro.eval.runner import parse_scale
 
 
-def run_figures(figure_ids=None, *, scale: SimulationScale | None = None,
-                seed: int = 1, n_jobs: int = 1,
-                cache: ResultCache | None = None,
-                progress=None,
-                trace_store: TraceStore | None = None,
-                ) -> list[FigureResult]:
-    """Simulate and price the selected figures (default: all seven).
-
-    The one-call spelling of what ``python -m repro.eval`` does:
-    declare the figures' jobs, record and price them, and return
-    one :class:`FigureResult` per requested figure, in request order.
-    ``figure_ids`` accepts ``"figure5"`` / ``"5"`` / ``5`` spellings.
-    """
-    if figure_ids is None:
-        names = list(FIGURES_BY_ID)
-    else:
-        names = []
-        for figure_id in figure_ids:
-            name = str(figure_id)
-            if not name.startswith("figure"):
-                name = f"figure{name}"
-            if name not in FIGURES_BY_ID:
-                known = ", ".join(sorted(FIGURES_BY_ID))
-                raise KeyError(
-                    f"unknown figure {figure_id!r} (known: {known})"
-                )
-            names.append(name)
-    events = run_jobs(plan_jobs(names, scale=scale, seed=seed),
-                      n_jobs=n_jobs, cache=cache, progress=progress,
-                      trace_store=trace_store)
-    return [FIGURES_BY_ID[name](events) for name in names]
-
-
 __all__ = [
     "ALL_FIGURES",
-    "AnyTask",
     "BenchmarkEvents",
     "DEFAULT_PORT",
     "EvalClient",
     "EvalServer",
-    "ExperimentJob",
     "FIGURES_BY_ID",
     "FigureResult",
     "INTEGRITY_NODE_CACHE_SIZES",
     "INTEGRITY_SNC_KEY",
     "INTEGRITY_WORKLOADS",
     "IntegrityModelSpec",
+    "Job",
     "PAPER_LATENCIES",
     "PROTOCOL_VERSION",
     "PoolStats",
@@ -238,7 +205,6 @@ __all__ = [
     "SCENARIO_STRATEGIES",
     "SLOW_CRYPTO_LATENCIES",
     "SNCSpec",
-    "ScenarioJob",
     "ScenarioTask",
     "Series",
     "ServeStats",
@@ -247,6 +213,7 @@ __all__ = [
     "SimulationScale",
     "SimulationTask",
     "SourceSpec",
+    "Task",
     "TaskResult",
     "TraceStore",
     "WorkerPool",
@@ -272,11 +239,10 @@ __all__ = [
     "format_summary",
     "format_trace_stats",
     "get_worker_pool",
-    "index_scenario_results",
+    "integrity_jobs",
     "integrity_slowdowns",
     "integrity_table_keys",
     "merge_jobs",
-    "merge_scenario_jobs",
     "merge_shard_events",
     "parse_address",
     "parse_scale",
@@ -290,13 +256,7 @@ __all__ = [
     "record_source",
     "record_task_for",
     "reset_pool_stats",
-    "run_all_benchmarks",
-    "run_everything",
-    "run_figures",
-    "run_integrity_sweep",
     "run_jobs",
-    "run_scenario_tasks",
-    "run_scenarios",
     "run_tasks",
     "scenario_jobs",
     "scenario_slowdowns",

@@ -2,9 +2,8 @@
 
 A full-scale sweep simulates 11 benchmarks x ~450K references each; an
 interrupted or partially-selected run should not pay for the part that
-already happened.  The cache maps a task — a figure
-:class:`~repro.eval.jobs.SimulationTask` or a §4.3
-:class:`~repro.eval.jobs.ScenarioTask` — to its
+already happened.  The cache maps a :class:`~repro.eval.jobs.Task` — a
+figure pass or a §4.3 scenario — to its
 :class:`~repro.eval.pipeline.BenchmarkEvents`, keyed by
 
 * the task's ``config_hash()`` (workload source, SNC geometries, switch
@@ -28,7 +27,7 @@ from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
-from repro.eval.jobs import AnyTask
+from repro.eval.jobs import Task
 from repro.eval.pipeline import BenchmarkEvents
 from repro.secure.integrity import IntegrityEventCounts
 from repro.timing.model import SNCEventCounts
@@ -151,17 +150,17 @@ class ResultCache:
         self.misses = 0
         self.put_errors = 0
 
-    def key_for(self, task: AnyTask) -> str:
+    def key_for(self, task: Task) -> str:
         digest = hashlib.sha256()
         digest.update(f"format:{CACHE_FORMAT}\n".encode())
         digest.update(f"code:{code_fingerprint()}\n".encode())
         digest.update(f"task:{task.config_hash()}\n".encode())
         return digest.hexdigest()
 
-    def path_for(self, task: AnyTask) -> Path:
+    def path_for(self, task: Task) -> Path:
         return self.root / f"{self.key_for(task)}.json"
 
-    def get(self, task: AnyTask) -> BenchmarkEvents | None:
+    def get(self, task: Task) -> BenchmarkEvents | None:
         path = self.path_for(task)
         try:
             payload = json.loads(path.read_text())
@@ -172,7 +171,7 @@ class ResultCache:
         self.hits += 1
         return events
 
-    def put(self, task: AnyTask, events: BenchmarkEvents) -> None:
+    def put(self, task: Task, events: BenchmarkEvents) -> None:
         """Best-effort write: an unwritable cache must never abort a run
         whose (expensive) simulation already succeeded."""
         payload = {

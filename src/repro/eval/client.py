@@ -24,7 +24,7 @@ import socket
 from collections.abc import Callable, Sequence
 
 from repro.eval.cache import events_from_dict
-from repro.eval.jobs import AnyTask, task_to_wire
+from repro.eval.jobs import Task, task_to_wire
 from repro.eval.scheduler import TaskResult
 
 #: Bumped when a frame's meaning changes; ``hello`` replies carry it and
@@ -147,7 +147,7 @@ class EvalClient:
 
     # ------------------------------------------------------------- verbs
 
-    def run_tasks(self, tasks: Sequence[AnyTask],
+    def run_tasks(self, tasks: Sequence[Task],
                   progress: Callable[[str], None] | None = None,
                   ) -> list[TaskResult]:
         """Run tasks on the daemon; results come back in task order.

@@ -3,7 +3,7 @@
 Each figure contributes two things:
 
 * a **job declaration** — :func:`figure_jobs` emits one
-  :class:`~repro.eval.jobs.ExperimentJob` per benchmark naming exactly the
+  :class:`~repro.eval.jobs.Job` per benchmark naming exactly the
   SNC configurations that figure prices (:data:`FIGURE_SNC_KEYS`), the
   registered protection schemes it prices them through
   (:data:`FIGURE_SCHEMES`), and whether it needs the Figure 8 alternate
@@ -17,12 +17,13 @@ Each figure contributes two things:
   benchmark files in ``benchmarks/`` print these tables; EXPERIMENTS.md
   archives them.
 
-The §4.3 multi-programmed scenarios follow the same declare/price split:
-:func:`scenario_jobs` emits :class:`~repro.eval.jobs.ScenarioJob` entries
-(strategy x scheme x SNC geometry over one workload mix),
-:func:`run_scenarios` schedules them through the same task
-scheduler/cache, and :func:`scenario_slowdowns` prices each scheme
-against the insecure baseline — see ``docs/scenarios.md``.
+The §4.3 multi-programmed scenarios and the integrity experiment follow
+the same declare/price split: :func:`scenario_jobs` and
+:func:`integrity_jobs` emit the same :class:`~repro.eval.jobs.Job` (a
+scenario job carries a switch strategy), any mix of jobs runs through
+:func:`repro.eval.scheduler.run_jobs`, and :func:`scenario_slowdowns` /
+:func:`integrity_slowdowns` price the results against the insecure
+baseline — see ``docs/scenarios.md``.
 """
 
 from __future__ import annotations
@@ -31,19 +32,14 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.eval import paper_data
-from repro.eval.cache import ResultCache
 from repro.eval.jobs import (
-    ExperimentJob,
     IntegrityModelSpec,
-    ScenarioJob,
+    Job,
     SNCSpec,
     SourceSpec,
-    merge_scenario_jobs,
     standard_snc_specs,
 )
 from repro.eval.pipeline import BenchmarkEvents, SimulationScale
-from repro.eval.scheduler import Progress, run_jobs, run_tasks
-from repro.eval.trace_store import TraceStore
 from repro.secure.engine import LatencyParams
 from repro.secure.schemes import get_scheme
 from repro.timing.model import (
@@ -87,7 +83,7 @@ FIGURES_NEEDING_ALT_L2 = frozenset({"figure8"})
 
 
 def figure_jobs(figure_id: str, scale: SimulationScale | None = None,
-                seed: int = 1) -> list[ExperimentJob]:
+                seed: int = 1) -> list[Job]:
     """One job per benchmark: what ``figure_id`` needs simulated."""
     if figure_id not in FIGURE_SNC_KEYS:
         raise KeyError(f"unknown figure {figure_id!r}")
@@ -95,10 +91,10 @@ def figure_jobs(figure_id: str, scale: SimulationScale | None = None,
     snc = tuple(specs[key] for key in FIGURE_SNC_KEYS[figure_id])
     scale = scale or SimulationScale()
     return [
-        ExperimentJob(
-            figure=figure_id,
+        Job(
+            table=figure_id,
             schemes=FIGURE_SCHEMES[figure_id],
-            workload=bench.name,
+            source=SourceSpec.benchmark(bench.name),
             snc_configs=snc,
             scale=scale,
             seed=seed,
@@ -110,32 +106,14 @@ def figure_jobs(figure_id: str, scale: SimulationScale | None = None,
 
 def plan_jobs(figure_ids: Iterable[str] | None = None,
               scale: SimulationScale | None = None,
-              seed: int = 1) -> list[ExperimentJob]:
+              seed: int = 1) -> list[Job]:
     """Every selected figure's jobs (default: all seven figures)."""
     if figure_ids is None:
         figure_ids = FIGURE_SNC_KEYS
-    jobs: list[ExperimentJob] = []
+    jobs: list[Job] = []
     for figure_id in figure_ids:
         jobs.extend(figure_jobs(figure_id, scale=scale, seed=seed))
     return jobs
-
-
-def run_all_benchmarks(scale: SimulationScale | None = None,
-                       seed: int = 1, n_jobs: int = 1,
-                       cache: ResultCache | None = None,
-                       progress: Progress | None = None,
-                       trace_store: TraceStore | None = None,
-                       ) -> dict[str, BenchmarkEvents]:
-    """Simulate all 11 benchmarks once; every figure prices these events.
-
-    Declares the union of every figure's jobs and hands them to the
-    scheduler, so callers get parallelism (``n_jobs``), result caching
-    (``cache``) and persisted recordings (``trace_store``) for free;
-    every job count produces identical events.
-    """
-    return run_jobs(plan_jobs(scale=scale, seed=seed), n_jobs=n_jobs,
-                    cache=cache, progress=progress,
-                    trace_store=trace_store)
 
 
 @dataclass
@@ -391,7 +369,7 @@ def scenario_jobs(workloads: Sequence[str], quantum: int = 2000,
                   snc_keys: Iterable[str] = ("lru64",),
                   scale: SimulationScale | None = None,
                   seed: int = 1,
-                  scenario: str = "context-switch") -> list[ScenarioJob]:
+                  table: str = "context-switch") -> list[Job]:
     """The §4.3 job matrix: one job per (strategy, SNC geometry) over one
     workload mix.
 
@@ -404,7 +382,7 @@ def scenario_jobs(workloads: Sequence[str], quantum: int = 2000,
     """
     strategies = None if strategies is None else tuple(strategies)
     if len(workloads) == 1:
-        source = SourceSpec(kind="benchmark", workloads=tuple(workloads))
+        source = SourceSpec.benchmark(workloads[0])
         if strategies is None:
             strategies = ("tag",)
     else:
@@ -414,61 +392,18 @@ def scenario_jobs(workloads: Sequence[str], quantum: int = 2000,
             strategies = SCENARIO_STRATEGIES
     scale = scale or SimulationScale()
     return [
-        ScenarioJob(
-            scenario=scenario,
+        Job(
+            table=table,
             schemes=schemes,
             source=source,
             snc_configs=scenario_snc_specs(schemes, snc_key),
-            strategy=strategy,
             scale=scale,
             seed=seed,
+            strategy=strategy,
         )
         for strategy in strategies
         for snc_key in snc_keys
     ]
-
-
-def run_scenario_tasks(jobs: list[ScenarioJob], n_jobs: int = 1,
-                       cache: ResultCache | None = None,
-                       progress: Progress | None = None,
-                       trace_store: TraceStore | None = None) -> list:
-    """Merge and schedule scenario jobs, returning the raw
-    :class:`~repro.eval.scheduler.TaskResult` list (for run stats);
-    :func:`run_scenarios` is the indexed convenience wrapper."""
-    tasks = merge_scenario_jobs(jobs)
-    keys = [(task.source.label, task.strategy) for task in tasks]
-    if len(set(keys)) != len(keys):
-        raise ValueError(
-            "scenario jobs must resolve to one task per (source, "
-            "strategy); mixed scales/seeds make the result mapping "
-            "ambiguous (use merge_scenario_jobs + run_tasks directly)"
-        )
-    return run_tasks(tasks, n_jobs=n_jobs, cache=cache,
-                     progress=progress, trace_store=trace_store)
-
-
-def index_scenario_results(results: list,
-                           ) -> dict[tuple[str, str], BenchmarkEvents]:
-    """Index :func:`run_scenario_tasks` results by (source label,
-    strategy) — the keying every scenario table uses."""
-    return {
-        (result.task.source.label, result.task.strategy): result.events
-        for result in results
-    }
-
-
-def run_scenarios(jobs: list[ScenarioJob], n_jobs: int = 1,
-                  cache: ResultCache | None = None,
-                  progress: Progress | None = None,
-                  trace_store: TraceStore | None = None,
-                  ) -> dict[tuple[str, str], BenchmarkEvents]:
-    """Merge, schedule and index scenario jobs: the scenario analogue of
-    :func:`run_all_benchmarks`, returning events keyed by
-    ``(source label, strategy)``."""
-    return index_scenario_results(
-        run_scenario_tasks(jobs, n_jobs=n_jobs, cache=cache,
-                           progress=progress, trace_store=trace_store)
-    )
 
 
 def scenario_slowdowns(events: BenchmarkEvents,
@@ -533,17 +468,17 @@ def integrity_jobs(workloads: Sequence[str] = INTEGRITY_WORKLOADS,
                    scale: SimulationScale | None = None,
                    seed: int = 1,
                    scheme: str = "otp",
-                   snc_key: str = INTEGRITY_SNC_KEY) -> list[ExperimentJob]:
+                   snc_key: str = INTEGRITY_SNC_KEY) -> list[Job]:
     """The slowdown-vs-node-cache-size experiment: one job per workload,
     declaring every integrity column over one SNC geometry.  Scheduled,
     merged and cached exactly like figure jobs."""
     specs = standard_snc_specs()
     scale = scale or SimulationScale()
     return [
-        ExperimentJob(
-            figure="integrity",
+        Job(
+            table="integrity",
             schemes=(scheme,),
-            workload=name,
+            source=SourceSpec.benchmark(name),
             snc_configs=(specs[snc_key],),
             scale=scale,
             seed=seed,
@@ -551,24 +486,6 @@ def integrity_jobs(workloads: Sequence[str] = INTEGRITY_WORKLOADS,
         )
         for name in workloads
     ]
-
-
-def run_integrity_sweep(workloads: Sequence[str] = INTEGRITY_WORKLOADS,
-                        node_cache_sizes: Sequence[int]
-                        = INTEGRITY_NODE_CACHE_SIZES,
-                        scale: SimulationScale | None = None,
-                        seed: int = 1, n_jobs: int = 1,
-                        cache: ResultCache | None = None,
-                        progress: Progress | None = None,
-                        trace_store: TraceStore | None = None,
-                        ) -> dict[str, BenchmarkEvents]:
-    """Declare, schedule and index the integrity experiment's events."""
-    return run_jobs(
-        integrity_jobs(workloads, node_cache_sizes, scale=scale,
-                       seed=seed),
-        n_jobs=n_jobs, cache=cache, progress=progress,
-        trace_store=trace_store,
-    )
 
 
 def integrity_slowdowns(events: BenchmarkEvents,
@@ -595,14 +512,3 @@ ALL_FIGURES = (figure3, figure5, figure6, figure7, figure8, figure9,
                figure10)
 
 FIGURES_BY_ID = {figure.__name__: figure for figure in ALL_FIGURES}
-
-
-def run_everything(scale: SimulationScale | None = None,
-                   seed: int = 1, n_jobs: int = 1,
-                   cache: ResultCache | None = None,
-                   trace_store: TraceStore | None = None,
-                   ) -> list[FigureResult]:
-    """Simulate once, regenerate every figure."""
-    events = run_all_benchmarks(scale=scale, seed=seed, n_jobs=n_jobs,
-                                cache=cache, trace_store=trace_store)
-    return [figure(events) for figure in ALL_FIGURES]

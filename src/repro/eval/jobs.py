@@ -1,32 +1,25 @@
-"""Schedulable units of the evaluation: the experiment job graph.
+"""Schedulable units of the evaluation: jobs, tasks and record passes.
 
-The paper's evaluation is a sweep of independent trace simulations — every
-figure prices the same kind of per-benchmark event sets under different
-SNC geometries and latencies.  This module turns that sweep into explicit
-data:
+The paper's evaluation is one sweep of trace passes: every figure prices
+per-benchmark event sets under different SNC geometries and latencies,
+and the §4.3 multi-programmed runs are the same pass with a context
+switch strategy added.  This module turns that sweep into explicit data:
 
-* :class:`ExperimentJob` — what one *figure* needs from one *workload*:
-  the registered protection schemes being priced
-  (:mod:`repro.secure.schemes`), the SNC configurations that must be
-  simulated, the integrity configurations riding the same pass
-  (:class:`IntegrityModelSpec`, resolving through the
-  :mod:`repro.secure.integrity` registry; figure jobs declare none, as
-  in the paper), whether the Figure 8 alternate L2 is priced, the trace
-  scale and the workload seed.  Figures declare jobs
-  (:func:`repro.eval.experiments.figure_jobs`); they never loop inline.
-* :class:`SimulationTask` — what actually runs: one trace pass over one
-  workload, feeding the union of every SNC configuration any selected
-  figure asked for (and the alternate L2 only if some figure prices it).
-  :func:`merge_jobs` folds a job list into the minimal task list, so
-  requesting all seven figures still simulates each benchmark exactly
-  once.
-* :class:`ScenarioJob` / :class:`ScenarioTask` — the same two-level shape
-  for multi-programmed §4.3 scenarios: a :class:`SourceSpec` names the
-  workload source (a benchmark, a trace file, or a multi-task interleave
-  with its quantum), a switch strategy picks FLUSH or TAG, and
-  :func:`merge_scenario_jobs` unions SNC requirements exactly like
-  :func:`merge_jobs`.  The scheduler and result cache treat both task
-  kinds identically.
+* :class:`Task` — one trace pass, the unit the scheduler runs and the
+  result cache keys: a :class:`SourceSpec` (a benchmark, a trace file,
+  or a multi-task interleave with its quantum), the SNC configurations
+  and integrity models it prices (:class:`SNCSpec`,
+  :class:`IntegrityModelSpec`), the scale and seed, and a switch
+  strategy — ``None`` for a figure pass, which may also price the
+  Figure 8 alternate L2, ``"flush"``/``"tag"`` for a §4.3 scenario.
+  :func:`SimulationTask` and :func:`ScenarioTask` build the two flavors.
+* :class:`Job` — what one *table* needs from one pass: a task's fields
+  plus the table's name and the registered protection schemes it prices
+  (:mod:`repro.secure.schemes`).  Tables declare jobs
+  (:func:`repro.eval.experiments.plan_jobs`, ``scenario_jobs``,
+  ``integrity_jobs``); :func:`merge_jobs` folds any mix of them into
+  the minimal task list, so the seven figures still simulate each
+  benchmark exactly once.
 * :class:`RecordTask` — phase 1: the configuration-independent record
   pass a task's pricing depends on (:func:`record_task_for` derives it;
   :func:`execute_record` runs it; :func:`price_batch` is phase 2).
@@ -37,8 +30,8 @@ data:
 All are frozen, hashable and picklable, so tasks can fan out across
 processes (:mod:`repro.eval.scheduler`) and key an on-disk result store
 (:mod:`repro.eval.cache`).  Identity is *content-based*:
-:meth:`SimulationTask.config_hash` is a SHA-256 over the canonical JSON of
-the full configuration, stable across processes and interpreter runs
+:meth:`Task.config_hash` is a SHA-256 over the canonical JSON of the
+full configuration, stable across processes and interpreter runs
 (unlike ``hash()``, which is salted per process for strings); a trace
 source hashes its file's *contents*, so editing a trace invalidates its
 cached results.
@@ -48,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -173,19 +166,22 @@ class IntegrityModelSpec:
                 self.node_cache_entries, self.tag_bytes]
 
 
-def _merge_integrity(target: dict[str, IntegrityModelSpec],
-                     specs: tuple[IntegrityModelSpec, ...],
-                     context: str) -> None:
-    """Union integrity specs by pricing key, rejecting conflicts —
-    the same discipline :func:`merge_jobs` applies to SNC specs."""
+def _by_key(specs: Iterable) -> tuple:
+    """Specs in canonical order: sorted by pricing key."""
+    return tuple(sorted(specs, key=lambda spec: spec.key))
+
+
+def _union_by_key(target: dict, specs: Iterable, what: str) -> None:
+    """Union specs into ``target`` by pricing key.  One key bound to two
+    different configurations is ambiguous (the merged task could price
+    only one of them), so it raises."""
     for spec in specs:
-        existing = target.get(spec.key)
-        if existing is not None and existing != spec:
+        existing = target.setdefault(spec.key, spec)
+        if existing != spec:
             raise ValueError(
-                f"integrity key {spec.key!r} bound to two different "
-                f"configurations in one {context}"
+                f"{what} key {spec.key!r} bound to two different "
+                f"configurations in one job set"
             )
-        target[spec.key] = spec
 
 
 def _canonical_hash(payload: object) -> str:
@@ -195,143 +191,6 @@ def _canonical_hash(payload: object) -> str:
 
 def _scale_canonical(scale: SimulationScale) -> list[int]:
     return [scale.warmup_refs, scale.measure_refs]
-
-
-@dataclass(frozen=True)
-class ExperimentJob:
-    """One figure's requirement on one workload — the unit figures declare.
-
-    ``figure`` says who wants the result; ``schemes`` names the registered
-    protection schemes whose pricers will consume it (validated against
-    the registry); ``workload``, ``snc_configs``, ``alt_l2``, ``scale``
-    and ``seed`` pin down the simulation itself.  Jobs on the same
-    (workload, scale, seed) share one :class:`SimulationTask` whose SNC
-    set is the union of theirs (:func:`merge_jobs`).
-    """
-
-    figure: str
-    schemes: tuple[str, ...]  # registered scheme keys being priced
-    workload: str
-    snc_configs: tuple[SNCSpec, ...]
-    scale: SimulationScale
-    seed: int = 1
-    alt_l2: bool = False  # does this figure price the Figure 8 384KB L2?
-    #: Integrity configurations this figure prices; empty (the paper's
-    #: own configuration) for every figure job, so the seven tables are
-    #: untouched by the axis.
-    integrity: tuple[IntegrityModelSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.workload not in BY_NAME:
-            raise KeyError(f"unknown workload {self.workload!r}")
-        for key in self.schemes:
-            get_scheme(key)  # raises KeyError on an unregistered scheme
-        for spec in self.snc_configs:
-            get_scheme(spec.scheme)
-
-    def canonical(self) -> dict:
-        return {
-            "figure": self.figure,
-            "schemes": sorted(self.schemes),
-            "workload": self.workload,
-            "snc": [spec.canonical() for spec in
-                    sorted(self.snc_configs, key=lambda spec: spec.key)],
-            "integrity": [spec.canonical() for spec in
-                          sorted(self.integrity,
-                                 key=lambda spec: spec.key)],
-            "scale": _scale_canonical(self.scale),
-            "seed": self.seed,
-            "alt_l2": self.alt_l2,
-        }
-
-    def config_hash(self) -> str:
-        """Stable across processes and runs — safe as a cache-key input."""
-        return _canonical_hash(self.canonical())
-
-
-@dataclass(frozen=True)
-class SimulationTask:
-    """One trace pass over one workload — the unit the scheduler runs."""
-
-    workload: str
-    snc_configs: tuple[SNCSpec, ...]
-    scale: SimulationScale
-    seed: int = 1
-    alt_l2: bool = False
-    integrity: tuple[IntegrityModelSpec, ...] = ()
-
-    def canonical(self) -> dict:
-        return {
-            "workload": self.workload,
-            "snc": [spec.canonical() for spec in
-                    sorted(self.snc_configs, key=lambda spec: spec.key)],
-            "integrity": [spec.canonical() for spec in
-                          sorted(self.integrity,
-                                 key=lambda spec: spec.key)],
-            "scale": _scale_canonical(self.scale),
-            "seed": self.seed,
-            "alt_l2": self.alt_l2,
-        }
-
-    def config_hash(self) -> str:
-        return _canonical_hash(self.canonical())
-
-    def describe(self) -> str:
-        scale = self.scale
-        integrity = (
-            f", {len(self.integrity)} integrity cfgs"
-            if self.integrity else ""
-        )
-        return (
-            f"{self.workload} "
-            f"[{len(self.snc_configs)} SNC cfgs{integrity}, "
-            f"{scale.warmup_refs}+{scale.measure_refs} refs, "
-            f"seed {self.seed}]"
-        )
-
-
-def merge_jobs(jobs: list[ExperimentJob]) -> list[SimulationTask]:
-    """Fold figure-level jobs into the minimal simulation task list.
-
-    Jobs on the same (workload, scale, seed) merge into one task whose SNC
-    set is the union of their requirements — and whose alternate-L2 flag
-    is the OR of theirs — so overlapping figures never re-simulate a
-    trace, and nobody pays for the Figure 8 cache unless some figure
-    prices it.  Task order follows first appearance, keeping the
-    scheduler's result order deterministic.
-    """
-    grouped: dict[tuple, dict[str, SNCSpec]] = {}
-    integrity: dict[tuple, dict[str, IntegrityModelSpec]] = {}
-    alt_l2: dict[tuple, bool] = {}
-    for job in jobs:
-        group = (job.workload, job.scale, job.seed)
-        specs = grouped.setdefault(group, {})
-        alt_l2[group] = alt_l2.get(group, False) or job.alt_l2
-        _merge_integrity(integrity.setdefault(group, {}), job.integrity,
-                         "job set")
-        for spec in job.snc_configs:
-            existing = specs.get(spec.key)
-            if existing is not None and existing != spec:
-                raise ValueError(
-                    f"SNC key {spec.key!r} bound to two different "
-                    f"geometries in one job set"
-                )
-            specs[spec.key] = spec
-    return [
-        SimulationTask(
-            workload=workload,
-            snc_configs=tuple(sorted(specs.values(),
-                                     key=lambda spec: spec.key)),
-            scale=scale,
-            seed=seed,
-            alt_l2=alt_l2[(workload, scale, seed)],
-            integrity=tuple(sorted(
-                integrity[(workload, scale, seed)].values(),
-                key=lambda spec: spec.key,
-            )),
-        )
-        for (workload, scale, seed), specs in grouped.items()
-    ]
 
 
 @lru_cache(maxsize=64)
@@ -395,6 +254,11 @@ class SourceSpec:
                 "(benchmark, multitask, trace)"
             )
 
+    @classmethod
+    def benchmark(cls, name: str) -> SourceSpec:
+        """The one-benchmark source a figure pass runs over."""
+        return cls(kind="benchmark", workloads=(name,))
+
     @property
     def label(self) -> str:
         if self.kind == "benchmark":
@@ -419,98 +283,183 @@ class SourceSpec:
         return [self.kind, list(self.workloads), self.quantum]
 
 
+def _check_pass(source: SourceSpec, snc_configs: tuple[SNCSpec, ...],
+                strategy: str | None, alt_l2: bool) -> None:
+    """Reject a pass the engine cannot price: an unregistered scheme or
+    switch strategy, a figure pass over anything but one benchmark, or
+    the Figure 8 alternate L2 on a scenario."""
+    for spec in snc_configs:
+        get_scheme(spec.scheme)  # raises KeyError on an unregistered one
+    if strategy is not None:
+        SwitchStrategy(strategy)  # raises ValueError on a bad name
+        if alt_l2:
+            raise ConfigurationError(
+                "the Figure 8 alternate L2 is priced on figure passes "
+                "only (strategy=None)"
+            )
+    elif source.kind != "benchmark":
+        raise ConfigurationError(
+            f"a {source.kind!r} source runs as a scenario: give it a "
+            "switch strategy"
+        )
+
+
+def _pass_name(source: SourceSpec, strategy: str | None) -> str:
+    """A pass's display name: the benchmark for a figure pass,
+    ``label/strategy`` for a scenario."""
+    if strategy is None:
+        return source.label
+    return f"{source.label}/{strategy}"
+
+
 @dataclass(frozen=True)
-class ScenarioJob:
-    """One scenario table's requirement on one workload source.
+class Task:
+    """One trace pass over one source — the unit the scheduler runs.
 
-    The scenario analogue of :class:`ExperimentJob`: ``scenario`` says
-    who wants the result, ``schemes`` names the registered schemes whose
-    pricers will consume it, and (``source``, ``strategy``, ``scale``,
-    ``seed``) pin down the simulation.  Jobs sharing those four merge
-    into one :class:`ScenarioTask` (:func:`merge_scenario_jobs`).
-    """
+    ``strategy`` is ``None`` for a figure pass over one benchmark (which
+    alone may set ``alt_l2``, pricing the Figure 8 384KB L2) and a
+    :class:`~repro.secure.snc_policy.SwitchStrategy` value (``"flush"``
+    or ``"tag"``) for a §4.3 scenario."""
 
-    scenario: str
-    schemes: tuple[str, ...]
     source: SourceSpec
     snc_configs: tuple[SNCSpec, ...]
-    strategy: str  # SwitchStrategy value: "flush" | "tag"
     scale: SimulationScale
     seed: int = 1
+    strategy: str | None = None
+    alt_l2: bool = False
     integrity: tuple[IntegrityModelSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        SwitchStrategy(self.strategy)  # raises ValueError on a bad name
-        for key in self.schemes:
-            get_scheme(key)
-        for spec in self.snc_configs:
-            get_scheme(spec.scheme)
-
-    def canonical(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "schemes": sorted(self.schemes),
-            "source": self.source.canonical(),
-            "snc": [spec.canonical() for spec in
-                    sorted(self.snc_configs, key=lambda spec: spec.key)],
-            "integrity": [spec.canonical() for spec in
-                          sorted(self.integrity,
-                                 key=lambda spec: spec.key)],
-            "strategy": self.strategy,
-            "scale": _scale_canonical(self.scale),
-            "seed": self.seed,
-        }
-
-    def config_hash(self) -> str:
-        return _canonical_hash(self.canonical())
-
-
-@dataclass(frozen=True)
-class ScenarioTask:
-    """One scenario trace pass — scheduled and cached like a
-    :class:`SimulationTask`."""
-
-    source: SourceSpec
-    snc_configs: tuple[SNCSpec, ...]
-    strategy: str
-    scale: SimulationScale
-    seed: int = 1
-    integrity: tuple[IntegrityModelSpec, ...] = ()
+        _check_pass(self.source, self.snc_configs, self.strategy,
+                    self.alt_l2)
 
     @property
     def workload(self) -> str:
-        """The display name run stats and progress lines use."""
-        return f"{self.source.label}/{self.strategy}"
+        """The display name run stats, progress lines and
+        :func:`~repro.eval.scheduler.run_jobs` results use."""
+        return _pass_name(self.source, self.strategy)
 
     def canonical(self) -> dict:
-        return {
-            "kind": "scenario",
-            "source": self.source.canonical(),
-            "snc": [spec.canonical() for spec in
-                    sorted(self.snc_configs, key=lambda spec: spec.key)],
-            "integrity": [spec.canonical() for spec in
-                          sorted(self.integrity,
-                                 key=lambda spec: spec.key)],
-            "strategy": self.strategy,
+        """The configuration the hash covers: a figure pass by its
+        ``workload`` and ``alt_l2``, a scenario by ``"kind":
+        "scenario"``, its source and its strategy.  These two forms key
+        every cached result and ``perfbench/pins.json``, so they must
+        not change (``tests/eval/test_task_identity.py`` pins them)."""
+        payload = {
+            "snc": [spec.canonical() for spec in _by_key(self.snc_configs)],
+            "integrity": [spec.canonical()
+                          for spec in _by_key(self.integrity)],
             "scale": _scale_canonical(self.scale),
             "seed": self.seed,
         }
+        if self.strategy is None:
+            payload.update(workload=self.workload, alt_l2=self.alt_l2)
+        else:
+            payload.update(kind="scenario", source=self.source.canonical(),
+                           strategy=self.strategy)
+        return payload
 
     def config_hash(self) -> str:
         return _canonical_hash(self.canonical())
 
     def describe(self) -> str:
         scale = self.scale
+        strategy = f"{self.strategy}, " if self.strategy else ""
+        integrity = (
+            f", {len(self.integrity)} integrity cfgs"
+            if self.integrity else ""
+        )
         return (
             f"{self.source.label} "
-            f"[{self.strategy}, {len(self.snc_configs)} SNC cfgs, "
+            f"[{strategy}{len(self.snc_configs)} SNC cfgs{integrity}, "
             f"{scale.warmup_refs}+{scale.measure_refs} refs, "
             f"seed {self.seed}]"
         )
 
 
-#: What the scheduler runs and the result cache keys: either task kind.
-AnyTask = SimulationTask | ScenarioTask
+def SimulationTask(workload: str, snc_configs: tuple[SNCSpec, ...],
+                   scale: SimulationScale, seed: int = 1,
+                   alt_l2: bool = False,
+                   integrity: tuple[IntegrityModelSpec, ...] = (),
+                   ) -> Task:
+    """A figure pass over one benchmark."""
+    return Task(source=SourceSpec.benchmark(workload),
+                snc_configs=snc_configs, scale=scale, seed=seed,
+                alt_l2=alt_l2, integrity=integrity)
+
+
+def ScenarioTask(source: SourceSpec, snc_configs: tuple[SNCSpec, ...],
+                 strategy: str, scale: SimulationScale, seed: int = 1,
+                 integrity: tuple[IntegrityModelSpec, ...] = (),
+                 ) -> Task:
+    """A §4.3 scenario pass: ``source`` under a switch strategy."""
+    if strategy is None:
+        raise ConfigurationError("a scenario needs a switch strategy")
+    return Task(source=source, snc_configs=snc_configs, scale=scale,
+                seed=seed, strategy=strategy, integrity=integrity)
+
+
+@dataclass(frozen=True)
+class Job:
+    """One table's requirement on one pass — the unit tables declare.
+
+    ``table`` says who wants the result and ``schemes`` names the
+    registered protection schemes whose pricers consume it; the other
+    fields are a :class:`Task`'s.  Jobs sharing (``source``,
+    ``strategy``, ``scale``, ``seed``) merge into one task
+    (:func:`merge_jobs`)."""
+
+    table: str
+    schemes: tuple[str, ...]
+    source: SourceSpec
+    snc_configs: tuple[SNCSpec, ...]
+    scale: SimulationScale
+    seed: int = 1
+    strategy: str | None = None
+    alt_l2: bool = False
+    integrity: tuple[IntegrityModelSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        for key in self.schemes:
+            get_scheme(key)  # raises KeyError on an unregistered scheme
+        _check_pass(self.source, self.snc_configs, self.strategy,
+                    self.alt_l2)
+
+    @property
+    def workload(self) -> str:
+        """The name the merged task's events are indexed under."""
+        return _pass_name(self.source, self.strategy)
+
+
+def merge_jobs(jobs: Iterable[Job]) -> list[Task]:
+    """Fold table-level jobs into the minimal task list.
+
+    Jobs on the same (source, strategy, scale, seed) merge into one task
+    whose SNC and integrity sets are the unions of theirs — and whose
+    alternate-L2 flag is the OR of theirs — so overlapping tables never
+    re-simulate a trace, and nobody pays for the Figure 8 cache unless
+    some figure prices it.  Task order follows first appearance, keeping
+    the scheduler's result order deterministic.
+    """
+    snc: dict[tuple, dict[str, SNCSpec]] = {}
+    integrity: dict[tuple, dict[str, IntegrityModelSpec]] = {}
+    alt_l2: dict[tuple, bool] = {}
+    for job in jobs:
+        group = (job.source, job.strategy, job.scale, job.seed)
+        _union_by_key(snc.setdefault(group, {}), job.snc_configs, "SNC")
+        _union_by_key(integrity.setdefault(group, {}), job.integrity,
+                      "integrity")
+        alt_l2[group] = alt_l2.get(group, False) or job.alt_l2
+    tasks = []
+    for group, specs in snc.items():
+        source, strategy, scale, seed = group
+        tasks.append(Task(
+            source=source, snc_configs=_by_key(specs.values()),
+            scale=scale, seed=seed, strategy=strategy,
+            alt_l2=alt_l2[group],
+            integrity=_by_key(integrity[group].values()),
+        ))
+    return tasks
 
 
 @dataclass(frozen=True)
@@ -518,7 +467,7 @@ class RecordTask:
     """Phase 1 of the engine: one (source, scale, seed) record
     pass whose event stream any number of replay tasks consume.
 
-    Derived from simulation/scenario tasks by :func:`record_task_for`;
+    Derived from tasks by :func:`record_task_for`;
     deliberately **omits** everything configuration-dependent — SNC
     geometries, schemes, integrity models, switch strategies, the
     alternate-L2 flag — because the recorded stream does not depend on
@@ -562,13 +511,9 @@ class RecordTask:
         )
 
 
-def record_task_for(task: AnyTask) -> RecordTask:
+def record_task_for(task: Task) -> RecordTask:
     """The record pass a task's replay depends on (its phase 1 key)."""
-    if isinstance(task, ScenarioTask):
-        source = task.source
-    else:
-        source = SourceSpec(kind="benchmark", workloads=(task.workload,))
-    return RecordTask(source=source, scale=task.scale, seed=task.seed)
+    return RecordTask(source=task.source, scale=task.scale, seed=task.seed)
 
 
 def execute_record(record_task: RecordTask) -> Recording:
@@ -589,7 +534,7 @@ def execute_record(record_task: RecordTask) -> Recording:
 Lane = tuple[str, str]
 
 
-def task_lanes(task: AnyTask) -> tuple[Lane, ...]:
+def task_lanes(task: Task) -> tuple[Lane, ...]:
     """A task's pricing lanes in canonical order: every SNC
     configuration (key-sorted, as the task stores them), then every
     integrity model.  This order is the contract sharding relies on —
@@ -602,7 +547,7 @@ def task_lanes(task: AnyTask) -> tuple[Lane, ...]:
     )
 
 
-def total_lane_count(tasks: Sequence[AnyTask]) -> int:
+def total_lane_count(tasks: Sequence[Task]) -> int:
     """How many pricing lanes a task list carries in total — the upper
     bound on useful batch-mode parallelism (``--jobs auto`` sizes the
     pool with it)."""
@@ -610,23 +555,37 @@ def total_lane_count(tasks: Sequence[AnyTask]) -> int:
                for task in tasks)
 
 
-def replay_request_for(task: AnyTask,
+def replay_request_for(task: Task,
                        lanes: Sequence[Lane] | None = None,
                        ) -> ReplayRequest:
     """A task's replay-side configuration as the request object
-    :meth:`~repro.eval.record.Recording.replay_batch` consumes — the
-    phase 2 twin of :func:`_task_configs`.  ``lanes`` restricts the
-    request to a subset of the task's lanes (a shard of a sharded batch
-    pass); ``None`` means all of them."""
-    configs = _task_configs(task, lanes=lanes)
-    if isinstance(task, ScenarioTask):
-        return ReplayRequest(
-            strategy=SwitchStrategy(task.strategy), **configs
-        )
-    return ReplayRequest(alt_l2=task.alt_l2, **configs)
+    :meth:`~repro.eval.record.Recording.replay_batch` consumes.
+    ``lanes`` keeps only the named subset of the task's lanes (a shard
+    of a sharded batch pass; ``None`` means all of them); filtering
+    preserves the canonical key-sorted spec order, so a shard's dicts
+    iterate exactly like the matching slice of the full task's."""
+    snc_specs = task.snc_configs
+    integrity_specs = task.integrity
+    if lanes is not None:
+        picked = set(lanes)
+        snc_specs = tuple(spec for spec in snc_specs
+                          if ("snc", spec.key) in picked)
+        integrity_specs = tuple(spec for spec in integrity_specs
+                                if ("integrity", spec.key) in picked)
+    strategy = task.strategy
+    return ReplayRequest(
+        snc_configs={spec.key: spec.to_config() for spec in snc_specs},
+        snc_schemes={spec.key: spec.scheme for spec in snc_specs},
+        strategy=None if strategy is None else SwitchStrategy(strategy),
+        alt_l2=task.alt_l2,
+        integrity_configs={spec.key: spec.to_config()
+                           for spec in integrity_specs},
+        integrity_providers={spec.key: spec.provider
+                             for spec in integrity_specs},
+    )
 
 
-def price_batch(tasks: Sequence[AnyTask],
+def price_batch(tasks: Sequence[Task],
                 recording: Recording,
                 lanes: Sequence[Sequence[Lane] | None] | None = None,
                 ) -> list[BenchmarkEvents]:
@@ -648,7 +607,7 @@ def price_batch(tasks: Sequence[AnyTask],
     return recording.replay_batch(requests)
 
 
-def merge_shard_events(task: AnyTask,
+def merge_shard_events(task: Task,
                        partials: Sequence[BenchmarkEvents],
                        ) -> BenchmarkEvents:
     """Reassemble one task's events from the lane-shard partials of a
@@ -676,79 +635,17 @@ def merge_shard_events(task: AnyTask,
     return merged
 
 
-def merge_scenario_jobs(jobs: list[ScenarioJob]) -> list[ScenarioTask]:
-    """Fold scenario jobs into the minimal task list, like
-    :func:`merge_jobs`: jobs sharing (source, strategy, scale, seed)
-    merge into one task whose SNC set is the union of theirs."""
-    grouped: dict[tuple, dict[str, SNCSpec]] = {}
-    integrity: dict[tuple, dict[str, IntegrityModelSpec]] = {}
-    for job in jobs:
-        group = (job.source, job.strategy, job.scale, job.seed)
-        specs = grouped.setdefault(group, {})
-        _merge_integrity(integrity.setdefault(group, {}), job.integrity,
-                         "scenario job set")
-        for spec in job.snc_configs:
-            existing = specs.get(spec.key)
-            if existing is not None and existing != spec:
-                raise ValueError(
-                    f"SNC key {spec.key!r} bound to two different "
-                    f"geometries in one scenario job set"
-                )
-            specs[spec.key] = spec
-    return [
-        ScenarioTask(
-            source=source,
-            snc_configs=tuple(sorted(specs.values(),
-                                     key=lambda spec: spec.key)),
-            strategy=strategy,
-            scale=scale,
-            seed=seed,
-            integrity=tuple(sorted(
-                integrity[(source, strategy, scale, seed)].values(),
-                key=lambda spec: spec.key,
-            )),
-        )
-        for (source, strategy, scale, seed), specs in grouped.items()
-    ]
-
-
-def _task_configs(task: AnyTask,
-                  lanes: Sequence[Lane] | None = None) -> dict:
-    """A task's spec tuples as the keyword mapping a
-    :class:`~repro.eval.record.ReplayRequest` takes.  ``lanes``
-    keeps only the named subset of the task's lanes (a shard of a
-    sharded batch pass); filtering preserves the canonical key-sorted
-    spec order, so a shard's dicts iterate exactly like the matching
-    slice of the full task's."""
-    snc_specs = task.snc_configs
-    integrity_specs = task.integrity
-    if lanes is not None:
-        picked = set(lanes)
-        snc_specs = tuple(spec for spec in snc_specs
-                          if ("snc", spec.key) in picked)
-        integrity_specs = tuple(spec for spec in integrity_specs
-                                if ("integrity", spec.key) in picked)
-    return {
-        "snc_configs": {spec.key: spec.to_config()
-                        for spec in snc_specs},
-        "snc_schemes": {spec.key: spec.scheme
-                        for spec in snc_specs},
-        "integrity_configs": {spec.key: spec.to_config()
-                              for spec in integrity_specs},
-        "integrity_providers": {spec.key: spec.provider
-                                for spec in integrity_specs},
-    }
-
-
-def task_to_wire(task: AnyTask) -> dict:
+def task_to_wire(task: Task) -> dict:
     """Serialize a task to the serve protocol's JSON wire form.
 
     The inverse of :func:`task_from_wire`:
     ``task_from_wire(json.loads(json.dumps(task_to_wire(task))))``
     rebuilds an equal task, so a client-shipped task hashes (and so
-    caches) exactly like the local one.  ``kind`` selects the task
-    class; specs travel as their dataclass field dicts; the scale is a
-    ``[warmup_refs, measure_refs]`` pair.
+    caches) exactly like the local one.  ``kind`` is ``"simulation"``
+    for a figure pass (named by its ``workload``, with its ``alt_l2``
+    flag) and ``"scenario"`` for a switch-strategy pass (its ``source``
+    and ``strategy``); specs travel as their dataclass field dicts; the
+    scale is a ``[warmup_refs, measure_refs]`` pair.
     """
     wire: dict = {
         "snc": [asdict(spec) for spec in task.snc_configs],
@@ -756,18 +653,16 @@ def task_to_wire(task: AnyTask) -> dict:
         "scale": _scale_canonical(task.scale),
         "seed": task.seed,
     }
-    if isinstance(task, ScenarioTask):
-        wire["kind"] = "scenario"
-        wire["source"] = asdict(task.source)
-        wire["strategy"] = task.strategy
+    if task.strategy is None:
+        wire.update(kind="simulation", workload=task.workload,
+                    alt_l2=task.alt_l2)
     else:
-        wire["kind"] = "simulation"
-        wire["workload"] = task.workload
-        wire["alt_l2"] = task.alt_l2
+        wire.update(kind="scenario", source=asdict(task.source),
+                    strategy=task.strategy)
     return wire
 
 
-def task_from_wire(wire: object) -> AnyTask:
+def task_from_wire(wire: object) -> Task:
     """Rebuild a task from its JSON wire form, validating as it goes.
 
     Every malformed payload — wrong shape, unknown ``kind``, unknown
@@ -782,41 +677,26 @@ def task_from_wire(wire: object) -> AnyTask:
                 f"task payload must be a JSON object, got "
                 f"{type(wire).__name__}"
             )
-        kind = wire.get("kind")
-        snc = tuple(SNCSpec(**dict(spec)) for spec in wire.get("snc", ()))
-        for spec in snc:
-            get_scheme(spec.scheme)  # KeyError on unregistered scheme
-        integrity = tuple(IntegrityModelSpec(**dict(spec))
-                          for spec in wire.get("integrity", ()))
         warmup, measure = wire["scale"]
-        scale = SimulationScale(warmup_refs=int(warmup),
-                                measure_refs=int(measure))
-        seed = int(wire.get("seed", 1))
+        common = dict(
+            snc_configs=tuple(SNCSpec(**dict(spec))
+                              for spec in wire.get("snc", ())),
+            scale=SimulationScale(warmup_refs=int(warmup),
+                                  measure_refs=int(measure)),
+            seed=int(wire.get("seed", 1)),
+            integrity=tuple(IntegrityModelSpec(**dict(spec))
+                            for spec in wire.get("integrity", ())),
+        )
+        kind = wire.get("kind")
         if kind == "scenario":
             fields = dict(wire["source"])
             fields["workloads"] = tuple(fields.get("workloads", ()))
-            strategy = wire["strategy"]
-            SwitchStrategy(strategy)  # ValueError on a bad name
-            return ScenarioTask(
-                source=SourceSpec(**fields),
-                snc_configs=snc,
-                strategy=strategy,
-                scale=scale,
-                seed=seed,
-                integrity=integrity,
-            )
+            return ScenarioTask(source=SourceSpec(**fields),
+                                strategy=wire["strategy"], **common)
         if kind == "simulation":
-            workload = wire["workload"]
-            if workload not in BY_NAME:
-                raise KeyError(f"unknown workload {workload!r}")
-            return SimulationTask(
-                workload=workload,
-                snc_configs=snc,
-                scale=scale,
-                seed=seed,
-                alt_l2=bool(wire.get("alt_l2", False)),
-                integrity=integrity,
-            )
+            return SimulationTask(workload=wire["workload"],
+                                  alt_l2=bool(wire.get("alt_l2", False)),
+                                  **common)
         raise ConfigurationError(
             f"unknown task kind {kind!r} (simulation, scenario)"
         )

@@ -80,11 +80,13 @@ def format_summary(results: list[FigureResult]) -> str:
 
 
 def format_scenario_table(
-    results: dict[tuple[str, str], BenchmarkEvents],
+    results: dict[str, BenchmarkEvents],
     schemes: tuple[str, ...] = SCENARIO_SCHEMES,
     snc_key: str = "lru64",
 ) -> str:
-    """The §4.3 strategy table: one row per (source, strategy), one
+    """The §4.3 strategy table: one row per scenario pass, keyed by its
+    ``task.workload`` (``label/strategy``, as :func:`~repro.eval.
+    scheduler.run_jobs` returns it) and sorted by (label, strategy); one
     slowdown column per scheme, plus the switch-cost columns the paper
     leaves open (spills per switch, warm-read fraction)."""
     header = f"{'scenario':<26} {'strategy':<9}"
@@ -97,7 +99,9 @@ def format_scenario_table(
         header,
         "-" * len(header),
     ]
-    for (label, strategy), events in sorted(results.items()):
+    rows = sorted((name.rsplit("/", 1), events)
+                  for name, events in results.items())
+    for (label, strategy), events in rows:
         row = f"{label:<26} {strategy:<9}"
         for scheme, value in scenario_slowdowns(
             events, schemes, snc_key

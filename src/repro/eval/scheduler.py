@@ -1,7 +1,11 @@
-"""Executor for simulation tasks: record once, batch-price, fan out.
+"""Executor for evaluation tasks: record once, batch-price, fan out.
 
-The tasks produced by :func:`repro.eval.jobs.merge_jobs` and
-:func:`repro.eval.jobs.merge_scenario_jobs` run in two phases:
+There are two run calls.  :func:`run_tasks` executes a list of
+:class:`~repro.eval.jobs.Task` — figure passes and §4.3 scenarios alike
+— and returns one :class:`TaskResult` per task, in task order;
+:func:`run_jobs` merges table-level jobs (:func:`repro.eval.jobs.
+merge_jobs`), runs the tasks, and indexes the events by
+``task.workload``.  Either way the tasks run in two phases:
 
 * **Record.**  Pending tasks are grouped by their
   :class:`~repro.eval.jobs.RecordTask`, and each distinct recording is
@@ -45,10 +49,10 @@ from dataclasses import dataclass
 
 from repro.eval.cache import ResultCache
 from repro.eval.jobs import (
-    AnyTask,
-    ExperimentJob,
+    Job,
     Lane,
     RecordTask,
+    Task,
     execute_record,
     merge_jobs,
     merge_shard_events,
@@ -78,7 +82,7 @@ Progress = Callable[[str], None]
 class TaskResult:
     """One executed (or cache-served) task."""
 
-    task: AnyTask
+    task: Task
     events: BenchmarkEvents
     seconds: float
     cached: bool
@@ -156,8 +160,8 @@ def plan_lane_shards(lane_counts: Sequence[int], n_jobs: int) -> list[int]:
     return shards
 
 
-def _shard_members(members: list[tuple[int, AnyTask]], n_shards: int,
-                   ) -> list[list[tuple[int, AnyTask,
+def _shard_members(members: list[tuple[int, Task]], n_shards: int,
+                   ) -> list[list[tuple[int, Task,
                                         tuple[Lane, ...] | None]]]:
     """Split one group's members into ``n_shards`` contiguous lane
     chunks, balanced to within one lane.
@@ -168,7 +172,7 @@ def _shard_members(members: list[tuple[int, AnyTask]], n_shards: int,
     lane_keys)`` triples per shard; ``lane_keys`` is ``None`` when the
     shard holds every lane of that task — the ``n_shards == 1``
     degenerate case is then exactly the unsharded item."""
-    flat: list[tuple[int, AnyTask, Lane | None]] = []
+    flat: list[tuple[int, Task, Lane | None]] = []
     for index, task in members:
         lanes = task_lanes(task)
         if lanes:
@@ -182,7 +186,7 @@ def _shard_members(members: list[tuple[int, AnyTask]], n_shards: int,
     for s in range(n_shards):
         chunk = flat[total * s // n_shards:total * (s + 1) // n_shards]
         order: list[int] = []
-        by_task: dict[int, tuple[AnyTask, list[Lane]]] = {}
+        by_task: dict[int, tuple[Task, list[Lane]]] = {}
         for index, task, lane in chunk:
             if index not in by_task:
                 by_task[index] = (task, [])
@@ -199,7 +203,7 @@ def _shard_members(members: list[tuple[int, AnyTask]], n_shards: int,
     return shards
 
 
-def auto_jobs(tasks: Sequence[AnyTask]) -> int:
+def auto_jobs(tasks: Sequence[Task]) -> int:
     """The worker count ``--jobs auto`` resolves to for a task list:
     one per CPU, capped by the total lane count — with lane sharding a
     sweep can use as many workers as it has pricing lanes (not just
@@ -300,7 +304,7 @@ def _resolve_recordings(record_tasks: list[RecordTask], n_jobs: int,
     return payloads, recordings
 
 
-def run_tasks(tasks: list[AnyTask], n_jobs: int = 1,
+def run_tasks(tasks: list[Task], n_jobs: int = 1,
               cache: ResultCache | None = None,
               progress: Progress | None = None,
               backend: str = "replay",
@@ -325,7 +329,7 @@ def run_tasks(tasks: list[AnyTask], n_jobs: int = 1,
         )
     total = len(tasks)
     results: list[TaskResult | None] = [None] * total
-    pending: list[tuple[int, AnyTask]] = []
+    pending: list[tuple[int, Task]] = []
 
     def emit(index: int, result: TaskResult) -> None:
         results[index] = result
@@ -350,7 +354,7 @@ def run_tasks(tasks: list[AnyTask], n_jobs: int = 1,
     return [result for result in results if result is not None]
 
 
-def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
+def _run_pending(pending: list[tuple[int, Task]], n_jobs: int,
                  cache: ResultCache | None, emit, progress,
                  trace_store: TraceStore | None) -> None:
     """Record and batch-price the non-cached tasks.
@@ -371,7 +375,7 @@ def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
     # (source, scale, seed) triples record once each; everything else
     # about a task is pricing-side configuration.
     record_tasks: list[RecordTask] = []
-    groups: dict[RecordTask, list[tuple[int, AnyTask]]] = {}
+    groups: dict[RecordTask, list[tuple[int, Task]]] = {}
     for index, task in pending:
         record_task = record_task_for(task)
         if record_task not in groups:
@@ -492,20 +496,22 @@ def _run_pending(pending: list[tuple[int, AnyTask]], n_jobs: int,
     worker_pool.run(_batch_indexed, items, on_priced, max_workers=workers)
 
 
-def run_jobs(jobs: list[ExperimentJob], n_jobs: int = 1,
+def run_jobs(jobs: Sequence[Job], n_jobs: int = 1,
              cache: ResultCache | None = None,
              progress: Progress | None = None,
              trace_store: TraceStore | None = None,
              ) -> dict[str, BenchmarkEvents]:
-    """Merge figure-level jobs, execute, and index events by workload.
+    """Merge table-level jobs, execute, and index events by
+    ``task.workload``.
 
-    This is the one-call path for callers that declare jobs and want the
-    classic ``{benchmark: events}`` mapping the figure drivers price.
-    The mapping is only well-defined when each workload resolves to one
-    task, so a job list mixing scales or seeds for the same workload is
-    rejected rather than silently dropping results — use
-    :func:`merge_jobs` + :func:`run_tasks` directly for multi-scale
-    sweeps.
+    This is the one-call path for callers that declare jobs — figures,
+    scenarios and integrity columns in any mix — and want the mapping
+    the table drivers price: ``{benchmark: events}`` for figure passes,
+    ``{"label/strategy": events}`` for scenarios.  The mapping is only
+    well-defined when each name resolves to one task, so a job list
+    mixing scales or seeds for the same pass is rejected rather than
+    silently dropping results — use :func:`merge_jobs` +
+    :func:`run_tasks` directly for multi-scale sweeps.
     """
     tasks = merge_jobs(jobs)
     workloads = [task.workload for task in tasks]

@@ -62,7 +62,7 @@ from repro.eval.cache import (
     events_to_dict,
 )
 from repro.eval.client import DEFAULT_PORT, PROTOCOL_VERSION
-from repro.eval.jobs import AnyTask, task_from_wire
+from repro.eval.jobs import Task, task_from_wire
 from repro.eval.pool import (
     pool_stats_dict,
     pool_worker_pids,
@@ -235,7 +235,7 @@ class EvalServer:
             finally:
                 self._queue.task_done()
 
-    def _run_batch(self, batch: list[AnyTask]) -> None:
+    def _run_batch(self, batch: list[Task]) -> None:
         stall = _env_float("_REPRO_SERVE_STALL", 0.0)
         if stall > 0:
             time.sleep(stall)
@@ -259,7 +259,7 @@ class EvalServer:
         if future is not None and not future.done():
             future.set_result(result)
 
-    def _fail_batch(self, batch: list[AnyTask],
+    def _fail_batch(self, batch: list[Task],
                     err: BaseException) -> None:
         """Fail whatever futures of this batch are still unresolved
         (on success that is none — every task emitted a result)."""
@@ -429,8 +429,8 @@ class EvalServer:
         # — single-flight is a property of the protocol, not a race.
         self.stats.tasks_requested += len(tasks)
         counts = {"executed": 0, "hot": 0, "joined": 0}
-        entries: list[tuple[AnyTask, str, object]] = []
-        to_run: list[AnyTask] = []
+        entries: list[tuple[Task, str, object]] = []
+        to_run: list[Task] = []
         for task in tasks:
             key = task.config_hash()
             hot = self._hot.get(key) if self.hot_capacity > 0 else None

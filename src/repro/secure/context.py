@@ -22,7 +22,7 @@ already owner-tagged) and routes switch events through the hooks.  It
 holds no SNC decision logic of its own.
 
 The evaluation drives this through scenario tasks
-(:class:`repro.eval.jobs.ScenarioTask`) recorded from a
+(:func:`repro.eval.jobs.ScenarioTask`) recorded from a
 :class:`~repro.workloads.sources.MultiTaskInterleaver`; the §4.3 cost
 table comes out of ``benchmarks/bench_ablation_context_switch.py``.
 """

@@ -116,7 +116,10 @@ class HashTreeIntegrity:
         self.depth = log2_exact(n_lines)
         #: (level, index) -> digest; level 0 = leaves.  Untrusted.
         self.node_store: dict[tuple[int, int], bytes] = {}
-        self._root = self._empty_digest(self.depth)
+        #: ``_empty[level]`` is the digest of an all-absent subtree at
+        #: ``level``: what a node missing from ``node_store`` reads as.
+        self._empty = self._empty_ladder(self.depth)
+        self._root = self._empty[self.depth]
         self.stats = IntegrityStats()
         self._node_cache_entries = node_cache_entries
         self._node_cache: dict[tuple[int, int], bytes] = {}
@@ -129,19 +132,21 @@ class HashTreeIntegrity:
 
     # -- construction helpers -------------------------------------------------
 
-    def _empty_digest(self, level: int) -> bytes:
-        """Digest of an all-absent subtree at ``level`` (memoized ladder)."""
-        digest = sha256(b"repro-hashtree-empty-leaf")
-        for _ in range(level):
-            digest = sha256(digest + digest)
-        return digest
+    @staticmethod
+    def _empty_ladder(depth: int) -> tuple[bytes, ...]:
+        """Digests of all-absent subtrees at levels ``0..depth``."""
+        ladder = [sha256(b"repro-hashtree-empty-leaf")]
+        for _ in range(depth):
+            ladder.append(sha256(ladder[-1] + ladder[-1]))
+        return tuple(ladder)
 
     def _leaf_digest(self, line_addr: int, ciphertext: bytes) -> bytes:
         self.stats.hashes_computed += 1
         return sha256(line_addr.to_bytes(8, "big") + ciphertext)
 
     def _node(self, level: int, index: int) -> bytes:
-        return self.node_store.get((level, index), self._empty_digest(level))
+        digest = self.node_store.get((level, index))
+        return self._empty[level] if digest is None else digest
 
     def covers(self, line_addr: int) -> bool:
         """Whether the line falls inside the protected region.

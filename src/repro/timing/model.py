@@ -319,7 +319,7 @@ def calibrate_compute_cycles(read_misses: int, xom_slowdown_pct: float,
 
     This is the documented calibration step: Figure 3 *characterises* each
     benchmark's memory-boundedness; all downstream figures then emerge from
-    simulation.  See DESIGN.md §2.
+    simulation.
     """
     lat = lat or LatencyParams()
     s = xom_slowdown_pct / 100.0

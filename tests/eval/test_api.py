@@ -12,7 +12,7 @@ import pytest
 
 from oracle import oracle_task
 
-from repro.eval import api, experiments, scheduler, server
+from repro.eval import api, scheduler, server
 from repro.eval.pipeline import SimulationScale
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -21,14 +21,6 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 def test_every_advertised_name_resolves():
     for name in api.__all__:
         assert getattr(api, name) is not None, name
-
-
-def test_run_figures_accepts_all_id_spellings():
-    """'figure5', '5' and 5 select the same figure (no simulation here —
-    only the id-normalization path, via the rejection branch)."""
-    for bad in ("figure99", "99", 99, "fig5"):
-        with pytest.raises(KeyError, match="unknown figure"):
-            api.run_figures([bad], scale=SimulationScale(1, 1))
 
 
 def test_record_and_price_batch_compose(tmp_path):
@@ -70,13 +62,7 @@ def test_benchmarks_and_examples_import_only_the_facade(path):
 
 
 @pytest.mark.parametrize("entry", [
-    api.run_figures,
     scheduler.run_jobs,
-    experiments.run_all_benchmarks,
-    experiments.run_scenario_tasks,
-    experiments.run_scenarios,
-    experiments.run_integrity_sweep,
-    experiments.run_everything,
     server.EvalServer,
 ], ids=lambda entry: entry.__qualname__)
 def test_entry_points_take_no_engine_or_pool(entry):
@@ -87,13 +73,18 @@ def test_entry_points_take_no_engine_or_pool(entry):
     assert "pool" not in params
 
 
-#: Names and spellings of the deleted engines, pools and selectors.
+#: Names and spellings of the deleted engines, pools and selectors, and
+#: of the second task family and the run wrappers folded into
+#: ``run_jobs``/``run_tasks``.
 RETIRED = (
     'backend="fused"', "replay-perevent", "BACKENDS", "POOLS",
     'pool="spawn"', "--backend", "--pool", "record_source_reference",
     "REPRO_RECORD_REFERENCE", "simulate_benchmark", "simulate_scenario",
     "execute_task_replay", "replay_benchmark", "replay_scenario",
     "def replay_events(",
+    "ExperimentJob", "ScenarioJob", "merge_scenario_jobs", "AnyTask",
+    "run_scenario_tasks", "run_everything", "run_integrity_sweep",
+    "index_scenario_results",
 )
 
 

@@ -29,7 +29,8 @@ import pytest
 import repro
 from repro.eval.cache import ResultCache, atomic_write_bytes
 from repro.eval.jobs import (
-    ExperimentJob,
+    Job,
+    SourceSpec,
     merge_jobs,
     record_task_for,
     standard_snc_specs,
@@ -44,9 +45,9 @@ _WORKLOADS = ("art", "vpr", "equake")
 def _tasks():
     specs = (standard_snc_specs()["lru64"],)
     return merge_jobs([
-        ExperimentJob(figure="figure5", schemes=("otp",), workload=name,
-                      snc_configs=specs,
-                      scale=SimulationScale(20_000, 20_000))
+        Job(table="figure5", schemes=("otp",),
+            source=SourceSpec.benchmark(name), snc_configs=specs,
+            scale=SimulationScale(20_000, 20_000))
         for name in _WORKLOADS
     ])
 
@@ -59,7 +60,8 @@ from pathlib import Path
 
 from repro.eval.cache import ResultCache
 from repro.eval.jobs import (
-    ExperimentJob,
+    Job,
+    SourceSpec,
     merge_jobs,
     record_task_for,
     standard_snc_specs,
@@ -74,9 +76,9 @@ WORKLOADS = ("art", "vpr", "equake")
 def tasks():
     specs = (standard_snc_specs()["lru64"],)
     return merge_jobs([
-        ExperimentJob(figure="figure5", schemes=("otp",), workload=name,
-                      snc_configs=specs,
-                      scale=SimulationScale(20_000, 20_000))
+        Job(table="figure5", schemes=("otp",),
+            source=SourceSpec.benchmark(name), snc_configs=specs,
+            scale=SimulationScale(20_000, 20_000))
         for name in WORKLOADS
     ])
 

@@ -17,17 +17,18 @@ from repro.eval.experiments import (
     figure8,
     figure9,
     figure10,
-    run_all_benchmarks,
+    plan_jobs,
 )
 from repro.eval.pipeline import SimulationScale
 from repro.eval.report import format_figure, format_summary
+from repro.eval.scheduler import run_jobs
 
 _SCALE = SimulationScale(warmup_refs=60_000, measure_refs=60_000)
 
 
 @pytest.fixture(scope="module")
 def events():
-    return run_all_benchmarks(scale=_SCALE)
+    return run_jobs(plan_jobs(scale=_SCALE))
 
 
 class TestPaperData:

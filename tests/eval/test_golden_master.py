@@ -31,7 +31,7 @@ from repro.eval.experiments import (
     plan_jobs,
     scenario_jobs,
 )
-from repro.eval.jobs import merge_jobs, merge_scenario_jobs
+from repro.eval.jobs import merge_jobs
 from repro.eval.pipeline import QUICK_SCALE
 from repro.eval.report import (
     format_figure,
@@ -65,13 +65,11 @@ def render_figures(run) -> dict[str, str]:
 def render_all(run) -> dict[str, str]:
     """All nine tables, every task's events computed by ``run``."""
     tables = render_figures(run)
-    scenarios = {}
-    for mix in SCENARIO_MIXES:
-        tasks = merge_scenario_jobs(scenario_jobs(
-            mix, quantum=SCENARIO_QUANTUM, scale=QUICK_SCALE
-        ))
-        for task, events in zip(tasks, run(tasks)):
-            scenarios[(task.source.label, task.strategy)] = events
+    scenarios = _by_workload(run, merge_jobs(
+        job for mix in SCENARIO_MIXES
+        for job in scenario_jobs(mix, quantum=SCENARIO_QUANTUM,
+                                 scale=QUICK_SCALE)
+    ))
     tables["scenarios"] = format_scenario_table(scenarios) + "\n"
     tables["integrity"] = format_integrity_table(_by_workload(
         run, merge_jobs(integrity_jobs(scale=QUICK_SCALE))

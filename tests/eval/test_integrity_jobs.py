@@ -14,17 +14,17 @@ from repro.eval.experiments import (
     integrity_model_specs,
     integrity_slowdowns,
     integrity_table_keys,
-    run_integrity_sweep,
 )
 from repro.eval.jobs import (
-    ExperimentJob,
     IntegrityModelSpec,
+    Job,
     SimulationTask,
+    SourceSpec,
     merge_jobs,
     standard_snc_specs,
 )
 from repro.eval.pipeline import QUICK_SCALE, SimulationScale
-from repro.eval.scheduler import run_tasks
+from repro.eval.scheduler import run_jobs, run_tasks
 from repro.secure.schemes import get_scheme
 
 _SCALE = SimulationScale(warmup_refs=5_000, measure_refs=10_000)
@@ -39,12 +39,13 @@ def _integrity_spec(**overrides):
 
 def _job(workload="art", integrity=(), **overrides):
     spec = dict(
-        figure="integrity", schemes=("otp",), workload=workload,
+        table="integrity", schemes=("otp",),
+        source=SourceSpec.benchmark(workload),
         snc_configs=(standard_snc_specs()["lru64"],), scale=_SCALE,
         seed=1, integrity=tuple(integrity),
     )
     spec.update(overrides)
-    return ExperimentJob(**spec)
+    return Job(**spec)
 
 
 class TestIntegrityModelSpec:
@@ -77,8 +78,9 @@ class TestIntegrityModelSpec:
 
 class TestJobsAndMerging:
     def test_hash_tracks_integrity_dimension(self):
-        assert (_job(integrity=[_integrity_spec()]).config_hash()
-                != _job().config_hash())
+        (with_tree,) = merge_jobs([_job(integrity=[_integrity_spec()])])
+        (without,) = merge_jobs([_job()])
+        assert with_tree.config_hash() != without.config_hash()
 
     def test_merge_unions_integrity_by_key(self):
         jobs = [
@@ -101,13 +103,15 @@ class TestJobsAndMerging:
             merge_jobs(jobs)
 
     def test_figure_jobs_declare_no_integrity(self):
-        """The paper's own configuration: every figure job's canonical
-        form carries an empty integrity list, so the seven tables are
-        untouched by the axis."""
+        """The paper's own configuration: every figure job declares no
+        integrity model and every merged task's canonical form carries
+        an empty integrity list, so the seven tables are untouched by
+        the axis."""
         from repro.eval.experiments import plan_jobs
-        for job in plan_jobs(scale=_SCALE):
-            assert job.integrity == ()
-            assert job.canonical()["integrity"] == []
+        jobs = plan_jobs(scale=_SCALE)
+        assert all(job.integrity == () for job in jobs)
+        for task in merge_jobs(jobs):
+            assert task.canonical()["integrity"] == []
 
 
 class TestExecution:
@@ -174,8 +178,9 @@ class TestExperiment:
         cache = ResultCache(tmp_path_factory.mktemp("integrity-cache"))
         # QUICK_SCALE: mcf's initialization phase outlasts the tiny
         # job-test scale before its measurement window sees misses.
-        events = run_integrity_sweep(("art", "mcf"), scale=QUICK_SCALE,
-                                     cache=cache)
+        events = run_jobs(integrity_jobs(("art", "mcf"),
+                                         scale=QUICK_SCALE),
+                          cache=cache)
         return events, cache
 
     def test_cached_tree_strictly_cheaper_in_priced_cycles(self, sweep):

@@ -12,13 +12,20 @@ from oracle import produce_task
 from repro.eval.experiments import (
     FIGURE_SNC_KEYS,
     figure_jobs,
+    integrity_jobs,
     plan_jobs,
+    scenario_jobs,
 )
+from repro.errors import ConfigurationError
 from repro.eval.jobs import (
-    ExperimentJob,
+    Job,
+    ScenarioTask,
     SNCSpec,
     SimulationTask,
+    SourceSpec,
+    Task,
     merge_jobs,
+    record_task_for,
     standard_snc_specs,
 )
 from repro.eval.pipeline import SimulationScale, standard_snc_configs
@@ -30,8 +37,9 @@ _SCALE = SimulationScale(warmup_refs=5_000, measure_refs=10_000)
 def _job(workload="art", snc_keys=("lru64",), scale=_SCALE, seed=1,
          figure="figure5", schemes=("otp",), alt_l2=False):
     specs = standard_snc_specs()
-    return ExperimentJob(
-        figure=figure, schemes=schemes, workload=workload,
+    return Job(
+        table=figure, schemes=schemes,
+        source=SourceSpec.benchmark(workload),
         snc_configs=tuple(specs[key] for key in snc_keys),
         scale=scale, seed=seed, alt_l2=alt_l2,
     )
@@ -57,7 +65,12 @@ class TestSNCSpec:
         assert base.canonical() != split.canonical()
 
 
-class TestExperimentJob:
+def _task(**overrides):
+    (task,) = merge_jobs([_job(**overrides)])
+    return task
+
+
+class TestJob:
     def test_rejects_unknown_workload(self):
         with pytest.raises(KeyError, match="nosuchbench"):
             _job(workload="nosuchbench")
@@ -69,21 +82,29 @@ class TestExperimentJob:
     def test_rejects_unregistered_snc_spec_scheme(self):
         rogue = SNCSpec(key="lru64", scheme="nosuchscheme")
         with pytest.raises(KeyError, match="nosuchscheme"):
-            ExperimentJob(
-                figure="figure5", schemes=("otp",), workload="art",
+            Job(
+                table="figure5", schemes=("otp",),
+                source=SourceSpec.benchmark("art"),
                 snc_configs=(rogue,), scale=_SCALE, seed=1,
             )
 
+    def test_names_its_pass_like_the_merged_task(self):
+        assert _job(workload="vpr").workload == "vpr"
+        assert _task(workload="vpr").workload == "vpr"
+        assert _job().workload == "art"
+
     def test_hash_is_deterministic(self):
-        assert _job().config_hash() == _job().config_hash()
+        assert _task().config_hash() == _task().config_hash()
 
     def test_hash_ignores_spec_ordering(self):
         specs = standard_snc_specs()
-        forward = _job(snc_keys=("lru32", "lru64"))
-        backward = ExperimentJob(
-            figure="figure5", schemes=("otp",), workload="art",
-            snc_configs=(specs["lru64"], specs["lru32"]),
-            scale=_SCALE, seed=1,
+        forward = SimulationTask(
+            workload="art", snc_configs=(specs["lru32"], specs["lru64"]),
+            scale=_SCALE,
+        )
+        backward = SimulationTask(
+            workload="art", snc_configs=(specs["lru64"], specs["lru32"]),
+            scale=_SCALE,
         )
         assert forward.config_hash() == backward.config_hash()
 
@@ -95,7 +116,7 @@ class TestExperimentJob:
         dict(alt_l2=True),
     ])
     def test_hash_tracks_every_simulation_input(self, change):
-        assert _job(**change).config_hash() != _job().config_hash()
+        assert _task(**change).config_hash() != _task().config_hash()
 
     def test_merging_ignores_figure_and_schemes(self):
         a = _job(figure="figure5", schemes=("otp",))
@@ -107,13 +128,12 @@ class TestExperimentJob:
         interpreter must compute the identical key."""
         code = (
             "from repro.eval.pipeline import SimulationScale\n"
-            "from repro.eval.jobs import ExperimentJob, standard_snc_specs\n"
-            "job = ExperimentJob(figure='figure5', schemes=('otp',),"
-            " workload='art',"
+            "from repro.eval.jobs import SimulationTask, standard_snc_specs\n"
+            "task = SimulationTask(workload='art',"
             " snc_configs=(standard_snc_specs()['lru64'],),"
             " scale=SimulationScale(warmup_refs=5000, measure_refs=10000),"
             " seed=1)\n"
-            "print(job.config_hash())"
+            "print(task.config_hash())"
         )
         src = pathlib.Path(__file__).parents[2] / "src"
         env = dict(os.environ)
@@ -125,7 +145,72 @@ class TestExperimentJob:
             env=env, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == _job().config_hash()
+        assert out.stdout.strip() == _task().config_hash()
+
+
+class TestTask:
+    _MIX = SourceSpec(kind="multitask", workloads=("art", "vpr"),
+                      quantum=1000)
+
+    def test_figure_pass_needs_one_benchmark(self):
+        with pytest.raises(ConfigurationError, match="switch strategy"):
+            Task(source=self._MIX, snc_configs=(), scale=_SCALE)
+
+    def test_alternate_l2_is_for_figure_passes_only(self):
+        with pytest.raises(ConfigurationError, match="alternate L2"):
+            Task(source=SourceSpec.benchmark("art"), snc_configs=(),
+                 scale=_SCALE, strategy="tag", alt_l2=True)
+
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match="nosuchstrategy"):
+            ScenarioTask(source=self._MIX, snc_configs=(),
+                         strategy="nosuchstrategy", scale=_SCALE)
+
+    def test_scenario_constructor_needs_a_strategy(self):
+        with pytest.raises(ConfigurationError, match="strategy"):
+            ScenarioTask(source=SourceSpec.benchmark("art"),
+                         snc_configs=(), strategy=None, scale=_SCALE)
+
+    def test_constructors_build_the_one_task_class(self):
+        figure = SimulationTask(workload="art", snc_configs=(),
+                                scale=_SCALE, alt_l2=True)
+        scenario = ScenarioTask(source=self._MIX, snc_configs=(),
+                                strategy="flush", scale=_SCALE)
+        assert type(figure) is type(scenario) is Task
+        assert figure == Task(source=SourceSpec.benchmark("art"),
+                              snc_configs=(), scale=_SCALE, alt_l2=True)
+        assert (figure.workload, scenario.workload) == (
+            "art", "mix(art+vpr)@q1000/flush"
+        )
+
+    def test_figure_and_scenario_jobs_merge_into_separate_tasks(self):
+        """One job list may mix tables: a figure pass and a TAG pass
+        over the same benchmark share a recording but not a task."""
+        tag = Job(table="scenario", schemes=("otp",),
+                  source=SourceSpec.benchmark("art"),
+                  snc_configs=(standard_snc_specs()["lru64"],),
+                  scale=_SCALE, strategy="tag")
+        tasks = merge_jobs([_job(), tag, _job(snc_keys=("lru32",))])
+        assert [task.workload for task in tasks] == ["art", "art/tag"]
+        assert [spec.key for spec in tasks[0].snc_configs] == [
+            "lru32", "lru64"
+        ]
+        assert (record_task_for(tasks[0])
+                == record_task_for(tasks[1]))
+
+    def test_every_table_merges_into_one_run(self):
+        """Figures, scenarios and the integrity columns declare jobs one
+        ``run_jobs`` call takes: each merged task has its own name, and
+        the integrity models ride the figure passes."""
+        tasks = merge_jobs(
+            plan_jobs(scale=_SCALE)
+            + scenario_jobs(("art", "vpr"), scale=_SCALE)
+            + integrity_jobs(scale=_SCALE)
+        )
+        by_name = {task.workload: task for task in tasks}
+        assert len(by_name) == len(tasks) == 11 + 2
+        assert by_name["mcf"].integrity and not by_name["vpr"].integrity
+        assert by_name["mix(art+vpr)@q2000/flush"].strategy == "flush"
 
 
 class TestMergeJobs:
@@ -150,8 +235,9 @@ class TestMergeJobs:
 
     def test_conflicting_geometry_for_one_key_rejected(self):
         rogue = SNCSpec(key="lru64", size_bytes=32 * 1024)
-        jobs = [_job(), ExperimentJob(
-            figure="figure6", schemes=("otp",), workload="art",
+        jobs = [_job(), Job(
+            table="figure6", schemes=("otp",),
+            source=SourceSpec.benchmark("art"),
             snc_configs=(rogue,), scale=_SCALE, seed=1,
         )]
         with pytest.raises(ValueError, match="lru64"):
@@ -162,8 +248,9 @@ class TestMergeJobs:
         ambiguous as two geometries: the merged task could only simulate
         one of them."""
         rogue = SNCSpec(key="lru64", scheme="otp_split")
-        jobs = [_job(), ExperimentJob(
-            figure="figure6", schemes=("otp_split",), workload="art",
+        jobs = [_job(), Job(
+            table="figure6", schemes=("otp_split",),
+            source=SourceSpec.benchmark("art"),
             snc_configs=(rogue,), scale=_SCALE, seed=1,
         )]
         with pytest.raises(ValueError, match="lru64"):
@@ -181,7 +268,7 @@ class TestFigureDeclarations:
     def test_one_job_per_benchmark(self):
         jobs = figure_jobs("figure5", scale=_SCALE)
         assert len(jobs) == 11
-        assert all(job.figure == "figure5" for job in jobs)
+        assert all(job.table == "figure5" for job in jobs)
         assert all(
             [spec.key for spec in job.snc_configs] == ["norepl64", "lru64"]
             for job in jobs

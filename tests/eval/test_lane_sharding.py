@@ -13,13 +13,13 @@ from repro.eval import scheduler as scheduler_mod
 from repro.eval.cache import events_to_dict
 from repro.eval.experiments import scenario_jobs
 from repro.eval.jobs import (
-    ExperimentJob,
     IntegrityModelSpec,
+    Job,
     SimulationTask,
     SNCSpec,
+    SourceSpec,
     execute_record,
     merge_jobs,
-    merge_scenario_jobs,
     merge_shard_events,
     price_batch,
     record_task_for,
@@ -50,9 +50,9 @@ def _sweep_tasks(n_configs=6, workload="equake", integrity=False,
     )[:n_configs]
     integ = ((IntegrityModelSpec(key="mac16", provider="mac"),)
              if integrity else ())
-    job = ExperimentJob(figure="shard-test", schemes=("otp",),
-                        workload=workload, snc_configs=specs,
-                        scale=scale, integrity=integ)
+    job = Job(table="shard-test", schemes=("otp",),
+              source=SourceSpec.benchmark(workload), snc_configs=specs,
+              scale=scale, integrity=integ)
     return merge_jobs([job])
 
 
@@ -155,9 +155,10 @@ class TestShardMembers:
         # A task with no SNC configs and no integrity still has
         # non-lane events; it must land in exactly one shard, as a
         # full (lane_keys=None) member.
-        bare = merge_jobs([ExperimentJob(
-            figure="shard-test", schemes=("baseline",), workload="art",
-            snc_configs=(), scale=_SCALE,
+        bare = merge_jobs([Job(
+            table="shard-test", schemes=("baseline",),
+            source=SourceSpec.benchmark("art"), snc_configs=(),
+            scale=_SCALE,
         )])[0]
         assert task_lanes(bare) == ()
         laned = _sweep_tasks(4)[0]
@@ -301,7 +302,7 @@ class TestSchedulerParity:
         # lane-shards across the strategies' tasks.
         jobs = scenario_jobs(("art", "vpr"), quantum=2000,
                              snc_keys=("lru32", "lru64"), scale=_SCALE)
-        tasks = merge_scenario_jobs(jobs)
+        tasks = merge_jobs(jobs)
         assert len(tasks) == 2  # one per strategy
         # Two schemes x two geometries per task: eight lanes in all.
         assert total_lane_count(tasks) == 8

@@ -16,7 +16,8 @@ import pytest
 from repro.eval import pool as pool_mod
 from repro.eval import scheduler as scheduler_mod
 from repro.eval.jobs import (
-    ExperimentJob,
+    Job,
+    SourceSpec,
     execute_record,
     merge_jobs,
     record_task_for,
@@ -59,8 +60,9 @@ def _tiny_recording(name: str, event_count: int = 64) -> Recording:
 def _jobs(scale=_SCALE, seed=1):
     specs = (standard_snc_specs()["lru64"],)
     return [
-        ExperimentJob(figure="figure5", schemes=("otp",), workload=name,
-                      snc_configs=specs, scale=scale, seed=seed)
+        Job(table="figure5", schemes=("otp",),
+            source=SourceSpec.benchmark(name), snc_configs=specs,
+            scale=scale, seed=seed)
         for name in _WORKLOADS
     ]
 

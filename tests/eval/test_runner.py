@@ -3,19 +3,20 @@
 import pytest
 
 from repro.eval.charts import render_averages, render_chart
-from repro.eval.experiments import figure5, run_all_benchmarks
+from repro.eval.experiments import figure5, plan_jobs
 from repro.eval.jobs import standard_snc_specs
 from repro.eval.pipeline import SimulationScale
 from repro.eval.runner import build_parser, main, parse_scale
+from repro.eval.scheduler import run_jobs
 from repro.eval.server import build_parser as build_serve_parser
 
 
 @pytest.fixture(scope="module")
 def small_figure():
     # Big enough to clear every benchmark's initialization phase.
-    events = run_all_benchmarks(
+    events = run_jobs(plan_jobs(
         scale=SimulationScale(warmup_refs=50_000, measure_refs=30_000)
-    )
+    ))
     return figure5(events)
 
 
@@ -112,23 +113,23 @@ class TestJobsSelection:
     def test_auto_jobs_caps_at_the_lane_count(self):
         import os
 
-        from repro.eval.jobs import ExperimentJob, merge_jobs
+        from repro.eval.jobs import Job, SourceSpec, merge_jobs
         from repro.eval.scheduler import auto_jobs
 
         specs = (standard_snc_specs()["lru64"],)
         tasks = merge_jobs([
-            ExperimentJob(figure="figure5", schemes=("otp",),
-                          workload="art", snc_configs=specs,
-                          scale=SimulationScale(20_000, 20_000)),
+            Job(table="figure5", schemes=("otp",),
+                source=SourceSpec.benchmark("art"), snc_configs=specs,
+                scale=SimulationScale(20_000, 20_000)),
         ])
         # One task, one lane: auto must not spawn idle workers.
         assert auto_jobs(tasks) == 1
         assert auto_jobs([]) == 1
         many = merge_jobs([
-            ExperimentJob(figure="figure5", schemes=("otp",),
-                          workload="art",
-                          snc_configs=tuple(standard_snc_specs().values()),
-                          scale=SimulationScale(20_000, 20_000)),
+            Job(table="figure5", schemes=("otp",),
+                source=SourceSpec.benchmark("art"),
+                snc_configs=tuple(standard_snc_specs().values()),
+                scale=SimulationScale(20_000, 20_000)),
         ])
         expected = max(1, min(os.cpu_count() or 1,
                               len(many[0].snc_configs)))

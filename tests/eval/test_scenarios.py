@@ -10,14 +10,13 @@ from oracle import produce
 from repro.eval.cache import ResultCache
 from repro.eval.experiments import (
     SCENARIO_SCHEMES,
-    run_scenarios,
     scenario_jobs,
     scenario_slowdowns,
     scheme_config_key,
 )
-from repro.eval.jobs import ScenarioJob, SourceSpec, merge_scenario_jobs
+from repro.eval.jobs import Job, SourceSpec, merge_jobs
 from repro.eval.pipeline import SimulationScale, standard_snc_configs
-from repro.eval.scheduler import run_tasks
+from repro.eval.scheduler import run_jobs, run_tasks
 from repro.secure.snc_policy import SwitchStrategy
 from repro.workloads.sources import MultiTaskInterleaver, SingleBenchmark
 
@@ -198,7 +197,7 @@ class TestScenarioJobs:
     def test_jobs_merge_like_figure_jobs(self):
         jobs = scenario_jobs(["art", "vpr"], quantum=1000, scale=SCALE)
         assert len(jobs) == 2  # one per strategy
-        tasks = merge_scenario_jobs(jobs + jobs)  # duplicates collapse
+        tasks = merge_jobs(jobs + jobs)  # duplicates collapse
         assert len(tasks) == 2
         strategies = {task.strategy for task in tasks}
         assert strategies == {"flush", "tag"}
@@ -208,7 +207,7 @@ class TestScenarioJobs:
 
     def test_config_hash_is_stable_and_strategy_sensitive(self):
         jobs = scenario_jobs(["art", "vpr"], quantum=1000, scale=SCALE)
-        flush_task, tag_task = merge_scenario_jobs(jobs)
+        flush_task, tag_task = merge_jobs(jobs)
         assert flush_task.config_hash() == flush_task.config_hash()
         assert flush_task.config_hash() != tag_task.config_hash()
 
@@ -228,16 +227,16 @@ class TestScenarioJobs:
         with pytest.raises(Exception):
             SourceSpec(kind="multitask", workloads=("art", "vpr"))
         with pytest.raises(ValueError):
-            ScenarioJob(
-                scenario="x", schemes=("otp",),
-                source=SourceSpec(kind="benchmark", workloads=("art",)),
+            Job(
+                table="x", schemes=("otp",),
+                source=SourceSpec.benchmark("art"),
                 snc_configs=(), strategy="bogus", scale=SCALE,
             )
 
     def test_scenario_tasks_cache_and_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = scenario_jobs(["art", "vpr"], quantum=1000, scale=SCALE)
-        tasks = merge_scenario_jobs(jobs)
+        tasks = merge_jobs(jobs)
         cold = run_tasks(tasks, n_jobs=1, cache=cache)
         assert all(not result.cached for result in cold)
         warm = run_tasks(tasks, n_jobs=1, cache=cache)
@@ -245,16 +244,16 @@ class TestScenarioJobs:
         for before, after in zip(cold, warm):
             assert asdict(before.events) == asdict(after.events)
 
-    def test_run_scenarios_indexes_by_source_and_strategy(self, tmp_path):
+    def test_run_jobs_indexes_by_source_and_strategy(self, tmp_path):
         jobs = scenario_jobs(["art", "vpr"], quantum=1000, scale=SCALE)
-        results = run_scenarios(jobs, cache=ResultCache(tmp_path))
+        results = run_jobs(jobs, cache=ResultCache(tmp_path))
         label = jobs[0].source.label
-        assert set(results) == {(label, "flush"), (label, "tag")}
+        assert set(results) == {f"{label}/flush", f"{label}/tag"}
 
     def test_run_tasks_dispatches_on_kind(self):
         jobs = scenario_jobs(["art"], scale=SCALE)
         # A no-switch source has no strategy dimension: one TAG job only.
-        (task,) = merge_scenario_jobs(jobs)
+        (task,) = merge_jobs(jobs)
         assert task.strategy == "tag"
         [result] = run_tasks([task])
         direct = produce(SingleBenchmark("art"), scale=SCALE)

@@ -5,7 +5,7 @@ import pytest
 from oracle import oracle_task
 
 from repro.eval.cache import ResultCache
-from repro.eval.jobs import ExperimentJob, standard_snc_specs
+from repro.eval.jobs import Job, SourceSpec, standard_snc_specs
 from repro.eval.pipeline import SimulationScale
 from repro.eval.scheduler import run_jobs, run_tasks
 from repro.eval.trace_store import TraceStore
@@ -18,8 +18,9 @@ _WORKLOADS = ("art", "vpr", "equake")
 def _jobs(scale=_SCALE, seed=1):
     specs = (standard_snc_specs()["lru64"],)
     return [
-        ExperimentJob(figure="figure5", schemes=("otp",), workload=name,
-                      snc_configs=specs, scale=scale, seed=seed)
+        Job(table="figure5", schemes=("otp",),
+            source=SourceSpec.benchmark(name), snc_configs=specs,
+            scale=scale, seed=seed)
         for name in _WORKLOADS
     ]
 
@@ -144,10 +145,10 @@ class TestReplayBackends:
         jobs = []
         for keys in (("lru32", "lru64"), ("lru128", "norepl64")):
             jobs.extend(
-                ExperimentJob(figure="figure6", schemes=("otp",),
-                              workload=name,
-                              snc_configs=tuple(specs[k] for k in keys),
-                              scale=_SCALE)
+                Job(table="figure6", schemes=("otp",),
+                    source=SourceSpec.benchmark(name),
+                    snc_configs=tuple(specs[k] for k in keys),
+                    scale=_SCALE)
                 for name in ("art", "vpr")
             )
         tasks = merge_jobs(jobs)
