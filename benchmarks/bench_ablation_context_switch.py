@@ -11,8 +11,12 @@ query misses after; TAG pays nothing at switch time but shares capacity.
 As a script it emits ``BENCH_scenarios.json`` (CI uploads it)::
 
     python benchmarks/bench_ablation_context_switch.py \\
-        --scale 20000:30000 --quantum 1000 --jobs 2 \\
+        --scale 20000:30000 --quantum 1000 --jobs 2 --workloads art vpr \\
         --output BENCH_scenarios.json
+
+(equake+mcf, the default list's second mix, needs at least the quick
+scale to get past its initialization phase; a mix the scale is too
+small for is named on stderr and the script exits 2.)
 
 Under pytest it benchmarks one scenario pass and asserts the §4.3
 invariants.
@@ -27,6 +31,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ConfigurationError
 from repro.eval.api import (
     QUICK_SCALE,
     ResultCache,
@@ -151,12 +156,17 @@ def main() -> int:
     all_results = []
     started = time.time()
     for mix in mixes:
-        events, results = run_mix(
-            mix, quantum=args.quantum, scale=args.scale,
-            n_jobs=args.jobs, cache=cache, seed=args.seed,
-            progress=lambda line: print(f"  {line}", file=sys.stderr),
-            trace_store=trace_store,
-        )
+        try:
+            events, results = run_mix(
+                mix, quantum=args.quantum, scale=args.scale,
+                n_jobs=args.jobs, cache=cache, seed=args.seed,
+                progress=lambda line: print(f"  {line}", file=sys.stderr),
+                trace_store=trace_store,
+            )
+        except ConfigurationError as error:
+            print(f"{'+'.join(mix)} at scale {args.scale.warmup_refs}:"
+                  f"{args.scale.measure_refs}: {error}", file=sys.stderr)
+            return 2
         all_events.update(events)
         all_results.extend(results)
     print(

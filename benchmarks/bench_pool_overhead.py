@@ -14,19 +14,18 @@ Two questions, answered with wall-clock numbers in ``BENCH_pool.json``:
   Unsharded (the shard planner patched to plan one pass per
   recording) that is one batch pass on one process no matter the job
   count; sharded (the default) the scheduler splits the pass into
-  per-worker lane shards over the same shipped recording.  The gated
-  sweep (``shard_sweep``) uses no-replacement geometries, which the
-  batch pricer still simulates lane by lane, so splitting the lanes
-  splits the work.  The headline field is its ``shard_warm_speedup``
-  (unsharded warm seconds over sharded warm seconds); CI asserts it
-  stays ≥ 1.5x on its multi-core runners (the payload's ``cpus``
-  field says what the box could do — a 1-CPU host can't run shards
-  concurrently).
-  ``shard_sweep_lru`` times the same shape over 16 plain LRU
-  geometries, ungated: the stack-distance tier prices those lanes (and
-  ``otp_split`` lanes whose counters never overflow) in one shared
-  pass, so an unsharded run is already cheap and sharding it mostly
-  adds shipping.
+  per-worker lane shards over the same shipped recording.  The batch
+  pricer walks all lanes of one set count together, so the gated sweep
+  (``shard_sweep``) uses 16 no-replacement geometries with pairwise
+  distinct set counts: each lane is its own rank walk, and splitting
+  the lanes splits the work.  The headline field is its
+  ``shard_warm_speedup`` (unsharded warm seconds over sharded warm
+  seconds); CI asserts it stays ≥ 1.5x on its multi-core runners (the
+  payload's ``cpus`` field says what the box could do — a 1-CPU host
+  can't run shards concurrently).
+  ``shard_sweep_lru`` times the same shape over 16 fully associative
+  LRU geometries, ungated: they share one stack walk, so an unsharded
+  run is already cheap and sharding it mostly adds shipping.
 
 Run as a script to (re)produce ``BENCH_pool.json``::
 
@@ -78,8 +77,23 @@ DEFAULT_JOBS = 4
 #: lane sharding no job count can parallelize it.
 SHARD_WORKLOAD = "equake"
 SHARD_CONFIGS = 16
-#: The sizes each shard sweep draws its geometries from.
-SHARD_SIZES_KB = (4, 8, 16, 32, 64, 128, 256, 512)
+#: The gated sweep: one 64KB no-replacement SNC at every associativity
+#: from direct-mapped to fully associative (32768 entries, 1 to 32768
+#: ways), so no two lanes share a set count and each takes its own
+#: walk.
+SHARD_SPECS = tuple(
+    SNCSpec(key=f"norepl64k_{1 << bits}way", size_bytes=64 * 1024,
+            assoc=1 << bits, policy="no-replacement")
+    for bits in range(SHARD_CONFIGS)
+)
+#: The ungated sweep: fully associative LRU SNCs of eight sizes with 2-
+#: and 4-byte entries, which all share one stack walk.
+SHARD_SPECS_LRU = tuple(
+    SNCSpec(key=f"lru{kb}e{entry_bytes}", size_bytes=kb * 1024,
+            entry_bytes=entry_bytes)
+    for kb in (4, 8, 16, 32, 64, 128, 256, 512)
+    for entry_bytes in (2, 4)
+)
 
 
 # ------------------------------------------------------------------ timing
@@ -130,24 +144,9 @@ def time_shipping(figures, scale: SimulationScale, n_jobs: int,
     return {"payload_bytes": payload_bytes, "shm": shm}
 
 
-def shard_sweep_tasks(scale: SimulationScale,
-                      n_configs: int = SHARD_CONFIGS,
-                      per_lane: bool = True):
-    """One merged task sweeping ``n_configs`` distinct SNC geometries on
-    a single workload: sizes x entry widths.  ``per_lane`` sweeps
-    no-replacement SNCs, lanes the batch pricer simulates one by one;
-    otherwise plain LRU ones, which the stack-distance tier prices
-    together.  Every entry count is a power of two (an SNC
-    invariant)."""
-    policy, prefix = (("no-replacement", "norepl") if per_lane
-                      else ("lru", "lru"))
-    specs = tuple(
-        SNCSpec(key=f"{prefix}{kb}e{entry_bytes}",
-                size_bytes=kb * 1024, entry_bytes=entry_bytes,
-                policy=policy)
-        for kb in SHARD_SIZES_KB
-        for entry_bytes in (2, 4)
-    )[:n_configs]
+def shard_sweep_tasks(scale: SimulationScale, specs=SHARD_SPECS):
+    """One merged task sweeping the SNC ``specs`` on a single
+    workload."""
     job = Job(table="shard-sweep", schemes=("otp",),
               source=SourceSpec.benchmark(SHARD_WORKLOAD), snc_configs=specs,
               scale=scale)
@@ -176,12 +175,11 @@ def _unsharded():
 
 
 def time_shard_modes(scale: SimulationScale, n_jobs: int,
-                     trace_store: TraceStore, repeats: int = 3,
-                     n_configs: int = SHARD_CONFIGS,
-                     per_lane: bool = True) -> dict:
+                     trace_store: TraceStore, specs=SHARD_SPECS,
+                     repeats: int = 3) -> dict:
     """Lane sharding on the worst case for recording-level parallelism.
 
-    The sweep is one workload x ``n_configs`` configurations — a single
+    The sweep is one workload x the SNC ``specs`` — a single
     merged task, a single recording.  Unsharded (:func:`_unsharded`)
     that batch pass runs on one process no matter ``n_jobs``; sharded
     (the default) the scheduler deals the
@@ -197,7 +195,7 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     runners (a 1-CPU box still gains ~1.2x — the sharded path skips
     the parent-side recording decode — but can't run shards
     concurrently)."""
-    tasks = shard_sweep_tasks(scale, n_configs, per_lane)
+    tasks = shard_sweep_tasks(scale, specs)
     # Warm the recording inline, then the pool (untimed), so the timed
     # runs measure pure pricing.
     _, baseline = _shard_run(tasks, 1, trace_store)
@@ -216,8 +214,8 @@ def time_shard_modes(scale: SimulationScale, n_jobs: int,
     sharded_seconds = statistics.median(sharded_runs)
     return {
         "workload": SHARD_WORKLOAD,
-        "lanes": "per-lane" if per_lane else "lru",
-        "n_configs": n_configs,
+        "lanes": specs[0].policy,
+        "n_configs": len(specs),
         "n_jobs": n_jobs,
         "cpus": os.cpu_count() or 1,
         "repeats": repeats,
@@ -234,7 +232,7 @@ def bench_pool(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
                n_jobs: int = DEFAULT_JOBS, trace_dir: Path = None,
                ) -> dict:
     """The whole payload: warm the store, time the shipping modes, time
-    the gated per-lane shard sweep and the ungated LRU one."""
+    the gated no-replacement shard sweep and the ungated LRU one."""
     scale = scale or QUICK_SCALE
     if trace_dir is None:
         with tempfile.TemporaryDirectory(prefix="bench-pool-") as tmp:
@@ -242,7 +240,7 @@ def bench_pool(figures=DEFAULT_FIGURES, scale: SimulationScale = None,
     store = warm_trace_store(figures, scale, trace_dir)
     shipping = time_shipping(figures, scale, n_jobs, store)
     shard = time_shard_modes(scale, n_jobs, store)
-    shard_lru = time_shard_modes(scale, n_jobs, store, per_lane=False)
+    shard_lru = time_shard_modes(scale, n_jobs, store, SHARD_SPECS_LRU)
     shutdown_worker_pool()
     return {"figures": list(figures), "n_jobs": n_jobs,
             "shipping": shipping, "shard_sweep": shard,
@@ -289,7 +287,7 @@ def test_bench_payload_shape(tmp_path):
                   "shard_warm_speedup"):
         assert field in result
     assert result["shipping"]["shm"]["shipments"] >= 1
-    for sweep, lanes in (("shard_sweep", "per-lane"),
+    for sweep, lanes in (("shard_sweep", "no-replacement"),
                          ("shard_sweep_lru", "lru")):
         shard = result[sweep]
         for field in ("unsharded_warm_seconds", "sharded_warm_seconds",

@@ -18,6 +18,7 @@ diff, and delete; a corrupt or unreadable file degrades to a miss.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import itertools
@@ -73,8 +74,27 @@ def _fingerprint_module_names() -> list[str]:
     return sorted(names)
 
 
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef,
+               ast.AsyncFunctionDef)
+
+
+def _code_of(path: Path) -> str:
+    """A module's code without its docstrings or comments: the dump of
+    its syntax tree (which keeps neither comments nor line numbers)
+    with every docstring dropped.  The dump follows the interpreter's
+    syntax-tree classes, so a Python upgrade may re-key both stores
+    once."""
+    tree = ast.parse(path.read_bytes())
+    for node in ast.walk(tree):
+        if (isinstance(node, _DOCUMENTED)
+                and ast.get_docstring(node, clean=False) is not None):
+            del node.body[0]
+    return ast.dump(tree)
+
+
 def fingerprint_of(module_names) -> str:
-    """SHA-256 over the given modules' source bytes — the one
+    """SHA-256 over the given modules' code, docstrings and comments
+    left out so a documentation edit keys nothing anew — the one
     implementation behind both the result cache's fingerprint and the
     trace store's (:func:`repro.eval.trace_store.record_fingerprint`),
     so the two invalidation mechanisms cannot drift."""
@@ -82,7 +102,7 @@ def fingerprint_of(module_names) -> str:
     for name in module_names:
         module = importlib.import_module(name)
         digest.update(name.encode())
-        digest.update(Path(module.__file__).read_bytes())
+        digest.update(_code_of(Path(module.__file__)).encode())
     return digest.hexdigest()
 
 

@@ -15,11 +15,10 @@ Each workload source drives one pass through:
 The pass runs in two phases: :func:`repro.eval.record.record_source`
 runs the workload and the L2s once per (source, scale, seed) and keeps
 the compacted event stream, and :func:`repro.timing.batch.
-replay_events_batch` prices it through every configuration in one
-event-major pass.  This module holds what both phases and their callers
-share: the trace scale, the cache geometries, the
-:class:`BenchmarkEvents` result, and the builders for the per-config
-state machines.  The slow per-reference loop both phases are checked
+replay_events_batch` prices it through every configuration at once.
+This module holds what both phases and their callers share: the trace
+scale, the cache geometries, the :class:`BenchmarkEvents` result, and
+the builders for the per-config state machines.  The slow per-reference loop both phases are checked
 against lives in the test suite (``tests/eval/oracle.py``).
 
 Counters reset at the warmup boundary while all cache/SNC *state* stays

@@ -12,8 +12,9 @@ module splits the pass in two:
   The result is a :class:`Recording`, persisted by
   :mod:`repro.eval.trace_store`.
 * :meth:`Recording.replay_batch` — phase 2: price many configuration
-  sets in **one** event-major pass over the recording
-  (:func:`repro.timing.batch.replay_events_batch`) and assemble one
+  sets together from the recording
+  (:func:`repro.timing.batch.replay_events_batch`, one walk per SNC
+  geometry group) and assemble one
   :class:`~repro.eval.pipeline.BenchmarkEvents` per set.
 
 Both phases are checked against the per-reference oracle in
@@ -140,14 +141,14 @@ class Recording:
 
     def replay_batch(self, requests: Sequence[ReplayRequest],
                      ) -> list[BenchmarkEvents]:
-        """Phase 2, batched: price every request in **one** event-major
-        pass over the columns (outer loop over events, inner loop over
-        the union of all requests' state machines).
+        """Phase 2, batched: price every request together from the
+        columns.
 
         One recording often serves many configuration sets — a FLUSH
         task and a TAG task, or several SNC geometry sweeps — and the
-        shared pass amortizes the per-event decode across all of them
-        (:func:`repro.timing.batch.replay_events_batch` is the loop).
+        union of all requests' state machines is priced at once, one
+        walk per SNC geometry group
+        (:func:`repro.timing.batch.replay_events_batch`).
         """
         built = [self._build(request) for request in requests]
         all_sims = [sim for sims, _models in built

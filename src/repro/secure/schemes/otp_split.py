@@ -95,7 +95,7 @@ class SplitSequenceCore(SNCPolicyCore):
         self._spill_entry(Evicted(line_index, seq, self.xom_id))
         return WriteDecision(WriteClass.UPDATE_MISS, seq)
 
-    def plain_lru_writebacks(self) -> int:
+    def plain_writebacks(self) -> int:
         # A line's number is its writeback count (reads never advance
         # it), so below the counter width every hook decides as the
         # base core's.

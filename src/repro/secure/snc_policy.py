@@ -226,11 +226,12 @@ class SNCPolicyCore:
         self._spill_entry(Evicted(line_index, seq, self.xom_id))
         return WriteDecision(WriteClass.UPDATE_MISS, seq)
 
-    def plain_lru_writebacks(self) -> float | None:
+    def plain_writebacks(self) -> float | None:
         """How many writebacks one ``(owner, line)`` may take while this
-        core decides as plain Algorithm 1 over an LRU SNC (the stack
-        tier's condition), or ``None``; an override of any decision
-        method returns ``None`` unless it overrides this too."""
+        core decides as plain Algorithm 1 (the condition for pricing it
+        by a walk of :mod:`repro.timing.stack`), or ``None``; an
+        override of any decision method returns ``None`` unless it
+        overrides this too."""
         cls = type(self)
         if all(getattr(cls, name) is value
                for name, value in vars(SNCPolicyCore).items()

@@ -1,5 +1,5 @@
-"""Stack-distance pricing: every LRU SNC lane of a batch from one LRU
-stack pass per geometry group.
+"""Walk pricing: every LRU and every no-replacement SNC lane of a batch
+from one pass per geometry group.
 
 An LRU sequence-number cache that only sees one task's accesses is a
 plain LRU cache of lines: a read, write-allocate or writeback either
@@ -10,9 +10,7 @@ techniques for storage hierarchies" (IBM Systems Journal, 1970), an
 access hits an LRU set of ``ways`` entries exactly when its *stack
 distance* — the number of distinct lines of its set touched since its
 previous access — is below ``ways``.  So one pass that measures each
-access's distance prices every capacity at once, and the batch pricer
-(:mod:`repro.timing.batch`) routes such lanes here instead of
-simulating one ``OrderedDict`` per lane.
+access's distance prices every capacity at once (:func:`price_stack`).
 
 Lanes are grouped by set count.  Fully associative lanes (one set)
 share one segmented LRU stack: one ``OrderedDict`` segment per distinct
@@ -33,24 +31,34 @@ afterwards:
   every other insertion evicts: evictions (= table spills) are misses
   minus fills.
 
+A no-replacement set admits the first ``ways`` distinct lines written
+back to it and never evicts, so admission is a prefix of first-writeback
+order and a set with more ways admits a superset: the same inclusion.
+A line is resident exactly when its *rank* — the lines of its set first
+written back before it — is below the lane's ways (:func:`price_ranks`).
+One walk per set count records each line's rank bucket at its first
+writeback and counts every access by (phase, access class, bucket).
+
 Switch streams and other tasks' writebacks walk keys: the line tagged
 above its bits (:func:`_switch_stream`).  Under TAG the tag is the
-owner, so one stack is the shared SNC; under FLUSH it is the switch
-window, so each window starts empty, and a descheduled owner's
+owner, so one walk is the shared SNC; under FLUSH (LRU only) it is the
+switch window, so each window starts empty, and a descheduled owner's
 writeback is one fetch, spill and update miss off the stack.
 ``docs/replay.md`` gives the exactness arguments.
 
 No sequence numbers and no spill table are built: those only carry
-values, and an LRU lane's counts never depend on them.
+values, and a walked lane's counts never depend on them.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import Counter, OrderedDict
 from collections.abc import Sequence
 from functools import partial
 from itertools import compress, islice
+from operator import add
 
 from repro.timing.model import EVENT_RESET, EVENT_SWITCH, EVENT_WRITEBACK
 
@@ -209,6 +217,32 @@ def _lane_counters(before, window, fills_before: int, fills_total: int,
     )
 
 
+def _accesses(kinds, lines, aux, task: int, flush: bool,
+              max_sets: int) -> tuple:
+    """The accesses a walk sees and where the last RESET splits them:
+    ``(kinds, keys, spans before it, span after it, switch facts)``.  A
+    stream with switches or another task's writebacks is rewritten by
+    :func:`_switch_stream`, and its facts are ``(shift, detached,
+    switched, reset window, last window)``; any other stream walks as
+    recorded, with facts ``None``."""
+    if aux is None or (EVENT_SWITCH not in kinds and set(
+            compress(aux, map(EVENT_WRITEBACK.__eq__, kinds))) <= {task}):
+        return (kinds, lines, *_phases(kinds), None)
+    shift = max(max(lines, default=0).bit_length(), max_sets.bit_length())
+    kinds, keys, reset, *facts = _switch_stream(kinds, lines, aux, task,
+                                                flush, shift)
+    return kinds, keys, [(0, reset)], (reset, len(keys)), (shift, *facts)
+
+
+def _set_counts(geometries: Sequence[tuple[int, int]]
+                ) -> dict[int, list[int]]:
+    """Lane indices by set count, in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for lane, (n_sets, _ways) in enumerate(geometries):
+        groups.setdefault(n_sets, []).append(lane)
+    return groups
+
+
 def price_stack(geometries: Sequence[tuple[int, int]], kinds, lines,
                 aux=None, task: int = 0, flush: bool = False) -> list[tuple]:
     """Price LRU SNC lanes from their stack distances.
@@ -221,26 +255,15 @@ def price_stack(geometries: Sequence[tuple[int, int]], kinds, lines,
     in the batch pricer's ``_COUNTERS`` order, equal to what its
     per-event simulation would count.
     """
-    groups: dict[int, list[int]] = {}
-    for lane, (n_sets, _ways) in enumerate(geometries):
-        groups.setdefault(n_sets, []).append(lane)
+    groups = _set_counts(geometries)
+    kinds, lines, before, window, switches = _accesses(
+        kinds, lines, aux, task, flush, max(groups, default=1))
     detached = switched = 0
     masks = {n_sets: n_sets - 1 for n_sets in groups}
-    tagged = aux is not None and (
-        EVENT_SWITCH in kinds
-        or not set(compress(aux, map(EVENT_WRITEBACK.__eq__, kinds)))
-        <= {task})
-    if tagged:
-        shift = max(max(lines, default=0).bit_length(),
-                    max(groups, default=1).bit_length())
-        (kinds, lines, reset, detached, switched, reset_window,
-         last_window) = _switch_stream(kinds, lines, aux, task, flush,
-                                       shift)
-        before, window = [(0, reset)], (reset, len(lines))
+    if switches:
+        shift, detached, switched, reset_window, last_window = switches
         if flush:  # a set fills once per switch window
             masks = {n_sets: ~((1 << shift) - n_sets) for n_sets in groups}
-    else:
-        before, window = _phases(kinds)
 
     def lines_per_set(seen: set[int]) -> dict:
         """Distinct lines mapped to each set, per group set count."""
@@ -255,7 +278,8 @@ def price_stack(geometries: Sequence[tuple[int, int]], kinds, lines,
     seen.update(islice(lines, *window))
     sizes_total = lines_per_set(seen)
     del seen
-    if tagged and flush:  # windows that end at a switch after the RESET
+    spilling = bool(switches) and flush
+    if spilling:  # windows that end at a switch after the RESET
         sizes_spilled = lines_per_set(set(lines[reset_window:last_window]))
 
     results: list = [None] * len(geometries)
@@ -287,7 +311,96 @@ def price_stack(geometries: Sequence[tuple[int, int]], kinds, lines,
                 _hits_misses(hist_window, row, buckets),
                 _fills(sizes_before[n_sets], lane_ways),
                 _fills(sizes_total[n_sets], lane_ways), detached, switched,
-                _fills(sizes_spilled[n_sets], lane_ways)
-                if tagged and flush else 0,
+                _fills(sizes_spilled[n_sets], lane_ways) if spilling else 0,
             )
+    return results
+
+
+# ------------------------------------------------- no-replacement ranks
+
+#: Rank-walk histogram rows: the three access kinds, then first
+#: writebacks (the admissions and first rejections).
+_FIRST = _KINDS
+
+
+def _rank_pass(ranks, admitted, mask, ways, kinds, keys, lo, hi,
+               hist) -> None:
+    """Walk events ``lo:hi`` of a no-replacement group.
+
+    ``ranks`` maps each key written back so far to its rank bucket —
+    bucket j holds ranks in ``[ways[j-1], ways[j])`` — and ``admitted``
+    counts the keys each set has seen a first writeback of; a key not
+    written back yet has bucket ``len(ways) + 1``."""
+    row = len(ways) + 2
+    unwritten = row - 1
+    first = _FIRST * row
+    lookup = ranks.get
+    for kind, key in zip(islice(kinds, lo, hi), islice(keys, lo, hi)):
+        bucket = lookup(key, unwritten)
+        if bucket == unwritten and kind == EVENT_WRITEBACK:
+            slot = key & mask
+            bucket = ranks[key] = bisect_right(ways, admitted[slot])
+            admitted[slot] += 1
+            hist[first + bucket] += 1
+        else:
+            hist[kind * row + bucket] += 1
+
+
+def _rank_counters(hist_before, hist_window, row: int, hits: int,
+                   switched: int) -> tuple:
+    """One no-replacement lane's counter tuple in ``_COUNTERS`` order;
+    its resident keys are the ``hits`` lowest rank buckets."""
+
+    def split(hist) -> list[tuple[int, int, int]]:
+        """``(resident, rejected, unwritten)`` per histogram row."""
+        return [(sum(hist[base:base + hits]),
+                 sum(hist[base + hits:base + row - 1]), hist[base + row - 1])
+                for base in range(0, (_FIRST + 1) * row, row)]
+
+    (read_in, read_out, read_new), (alloc_in, alloc_out, alloc_new), \
+        (wb_in, wb_out, _), (first_in, first_out, _) = split(hist_window)
+    (life_read_in, life_read_out, life_read_new), \
+        (life_alloc_in, life_alloc_out, life_alloc_new), \
+        (life_wb_in, life_wb_out, _), (life_first_in, life_first_out, _) = \
+        split(list(map(add, hist_before, hist_window)))
+    return (
+        # A read of a key never written back is an untouched
+        # vendor-image line: version-0 pad, overlapped.
+        read_in + read_new, 0, read_out, alloc_in + alloc_out + alloc_new,
+        wb_in, first_in + first_out + wb_out, first_out + wb_out, 0, 0,
+        life_read_in + life_alloc_in,
+        life_read_out + life_read_new + life_alloc_out + life_alloc_new,
+        life_wb_in, life_first_in + life_first_out + life_wb_out,
+        life_first_in, 0, life_first_out + life_wb_out, switched, 0,
+    )
+
+
+def price_ranks(geometries: Sequence[tuple[int, int]], kinds, lines,
+                aux=None, task: int = 0, flush: bool = False) -> list[tuple]:
+    """Price no-replacement SNC lanes from their first-writeback ranks.
+
+    Takes :func:`price_stack`'s arguments and returns its counter
+    tuples.  ``flush`` must be false: FLUSH spills to the in-memory
+    table, which only an LRU SNC keeps.
+    """
+    if flush:
+        raise ValueError("a no-replacement SNC keeps no table to flush to")
+    groups = _set_counts(geometries)
+    kinds, keys, before, window, switches = _accesses(
+        kinds, lines, aux, task, False, max(groups, default=1))
+    switched = switches[2] if switches else 0
+    results: list = [None] * len(geometries)
+    for n_sets, lanes in groups.items():
+        ways = sorted({geometries[lane][1] for lane in lanes})
+        row = len(ways) + 2
+        walk = partial(_rank_pass, {}, [0] * n_sets, n_sets - 1, ways)
+        hist_before = [0] * ((_FIRST + 1) * row)
+        hist_window = [0] * ((_FIRST + 1) * row)
+        for lo, hi in before:
+            walk(kinds, keys, lo, hi, hist_before)
+        walk(kinds, keys, *window, hist_window)
+        for lane in lanes:
+            results[lane] = _rank_counters(
+                hist_before, hist_window, row,
+                ways.index(geometries[lane][1]) + 1, switched)
     return results

@@ -5,9 +5,9 @@ of SimpleScalar is not a Python afternoon), so each benchmark is modelled
 as a composition of :mod:`repro.workloads.patterns` generators emitting the
 *L2-input* reference stream.  Pattern structure and footprints are chosen
 from each program's well-known memory behaviour and the constraints the
-paper's own per-benchmark numbers imply (see DESIGN.md §5 for the
-protocol); the single calibrated scalar per benchmark is its compute-cycle
-weight, solved from Figure 3's published XOM slowdown by
+paper's own per-benchmark numbers imply; the single calibrated scalar
+per benchmark is its compute-cycle weight, solved from Figure 3's
+published XOM slowdown by
 :func:`repro.timing.model.calibrate_compute_cycles`.
 
 Every model with a footprint that matters to the SNC begins with an

@@ -3,8 +3,8 @@
 Production splits a simulation in two: :func:`~repro.eval.record.
 record_source` runs the workload and the L2s block by block into event
 columns, and :meth:`~repro.eval.record.Recording.replay_batch` prices
-the columns through every configuration in one generated event-major
-pass.  :func:`oracle` does the same job the slow, obvious way: one loop
+the columns through every configuration, most lanes by one shared walk
+per geometry group.  :func:`oracle` does the same job the slow, obvious way: one loop
 over the scalar reference stream (``source.stream(seed)``) that drives
 :meth:`~repro.memory.cache.TagOnlyCache.access` for the base L2 (and the
 Figure 8 alternate L2 when asked), tracks line owners for writebacks,

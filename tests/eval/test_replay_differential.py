@@ -127,6 +127,24 @@ def assert_events_identical(expected, priced):
     assert priced == expected  # and the dataclass as a whole
 
 
+@pytest.fixture
+def walked(monkeypatch):
+    """Every lane geometry the batch pricer hands each walk."""
+    lanes = {"stack": [], "ranks": []}
+
+    def spy(name):
+        walk = getattr(batch, f"price_{name}")
+
+        def spied(geometries, *args):
+            lanes[name].extend(geometries)
+            return walk(geometries, *args)
+        monkeypatch.setattr(batch, f"price_{name}", spied)
+
+    spy("stack")
+    spy("ranks")
+    return lanes
+
+
 def _round_trip(recording):
     """Price what a worker or a warm store would see, not the in-memory
     object the recorder returned."""
@@ -134,7 +152,7 @@ def _round_trip(recording):
 
 
 @pytest.mark.parametrize("case", range(6))
-def test_benchmark_differential(case):
+def test_benchmark_differential(case, walked):
     """Randomized figure-path configurations: oracle == production."""
     rng = random.Random(0xD1F + case)
     recording = None
@@ -173,6 +191,9 @@ def test_benchmark_differential(case):
         integrity_providers=integrity_providers,
     )])[0]
     assert_events_identical(expected, batched)
+    assert len(walked["ranks"]) == sum(
+        config.policy is SNCPolicy.NO_REPLACEMENT
+        for config in snc_configs.values())
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -334,41 +355,55 @@ SWITCH_SNCS = {
     "lru8k_64way": (SNCConfig(size_bytes=8 * 1024, assoc=64), "otp"),
 }
 
+#: No-replacement lanes, which only TAG can switch: two fully
+#: associative capacities and a split-counter lane share one walk.
+TAG_SNCS = {
+    "norepl2k": (SNCConfig(size_bytes=2 * 1024,
+                           policy=SNCPolicy.NO_REPLACEMENT), "otp"),
+    "norepl8k": (SNCConfig(size_bytes=8 * 1024,
+                           policy=SNCPolicy.NO_REPLACEMENT), "otp"),
+    "split_norepl4k_32way": (SNCConfig(size_bytes=4 * 1024, assoc=32,
+                                       policy=SNCPolicy.NO_REPLACEMENT),
+                             "otp_split"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(SWITCH_STREAMS))
-def test_switch_stream_tier_differential(name, monkeypatch):
-    """FLUSH and TAG over otp and otp_split lanes: the oracle, the
-    stack tier and the generated batch pass with the tier off all
-    count alike, and the tier takes every lane."""
+def test_switch_stream_tier_differential(name, walked, monkeypatch):
+    """FLUSH over LRU lanes and TAG over LRU and no-replacement lanes,
+    otp and otp_split: the oracle, the walks and the per-event loop all
+    count alike, and the walks take every lane."""
     source, scale = SWITCH_STREAMS[name]
-    configs = {key: config for key, (config, _) in SWITCH_SNCS.items()}
-    schemes = {key: scheme for key, (_, scheme) in SWITCH_SNCS.items()}
+    lanes = {
+        SwitchStrategy.FLUSH: SWITCH_SNCS,
+        SwitchStrategy.TAG: {**SWITCH_SNCS, **TAG_SNCS},
+    }
     recording = _round_trip(record_source(source, scale=scale,
                                           include_alt_l2=False))
-    strategies = (SwitchStrategy.FLUSH, SwitchStrategy.TAG)
-    requests = [ReplayRequest(snc_configs=configs, snc_schemes=schemes,
-                              strategy=strategy)
-                for strategy in strategies]
-    tier_lanes = []
-    price_stack = batch.price_stack
-
-    def spy(geometries, *args):
-        tier_lanes.extend(geometries)
-        return price_stack(geometries, *args)
-
-    monkeypatch.setattr(batch, "price_stack", spy)
-    tier = recording.replay_batch(requests)
-    assert len(tier_lanes) == len(strategies) * len(configs)
-    monkeypatch.setattr(batch, "_stack_lanes",
-                        lambda sims, *_args: [False] * len(sims))
-    batch_only = recording.replay_batch(requests)
-    for strategy, tier_events, batch_events in zip(strategies, tier,
-                                                   batch_only):
-        expected = oracle(source, scale=scale, snc_configs=configs,
-                          snc_schemes=schemes, strategy=strategy).events
-        assert_events_identical(expected, tier_events)
-        assert_events_identical(expected, batch_events)
-        flush = strategy is SwitchStrategy.FLUSH
+    requests = [
+        ReplayRequest(
+            snc_configs={key: config for key, (config, _) in snccs.items()},
+            snc_schemes={key: scheme for key, (_, scheme) in snccs.items()},
+            strategy=strategy)
+        for strategy, snccs in lanes.items()
+    ]
+    walks = recording.replay_batch(requests)
+    assert len(walked["stack"]) == len(lanes) * len(SWITCH_SNCS)
+    assert len(walked["ranks"]) == len(TAG_SNCS)
+    monkeypatch.setattr(batch, "_lane_walks",
+                        lambda sims, *_args: [None] * len(sims))
+    per_event = recording.replay_batch(requests)
+    for request, walk_events, per_event_events in zip(requests, walks,
+                                                      per_event):
+        expected = oracle(source, scale=scale,
+                          snc_configs=request.snc_configs,
+                          snc_schemes=request.snc_schemes,
+                          strategy=request.strategy).events
+        assert_events_identical(expected, walk_events)
+        assert_events_identical(expected, per_event_events)
+        flush = request.strategy is SwitchStrategy.FLUSH
         for counts in expected.snc.values():
             assert counts.switches > 0
             assert (counts.switch_spills > 0) == flush
+        if not flush:
+            assert expected.snc["norepl2k"].rejected_updates > 0

@@ -98,6 +98,33 @@ class TestInvalidation:
         assert len(first) == 64
         int(first, 16)
 
+    @pytest.mark.parametrize("edit, changes", [
+        (lambda source: source.replace('"""', '"""Edited. ', 1), False),
+        (lambda source: source.replace(
+            '    """', '    """Edited function or class docstring. ', 1),
+         False),
+        (lambda source: "# A comment shifting every line.\n\n" + source
+         + "\n# A trailing comment.\n", False),
+        (lambda source: source + "\n_EXTRA = 1\n", True),
+    ], ids=["module docstring", "inner docstring", "comments", "code"])
+    def test_fingerprints_follow_code_not_documentation(
+            self, tmp_path, monkeypatch, edit, changes):
+        # repro.workloads.spec keys both the result cache and the trace
+        # store; point the module at an edited copy of its source.
+        import repro.workloads.spec as spec
+        from repro.eval.trace_store import record_fingerprint
+
+        fingerprints = (code_fingerprint.__wrapped__,
+                        record_fingerprint.__wrapped__)
+        before = [fingerprint() for fingerprint in fingerprints]
+        source = Path(spec.__file__).read_text()
+        edited = tmp_path / "spec.py"
+        edited.write_text(edit(source))
+        assert edited.read_text() != source
+        monkeypatch.setattr(spec, "__file__", str(edited))
+        after = [fingerprint() for fingerprint in fingerprints]
+        assert [a != b for a, b in zip(after, before)] == [changes] * 2
+
 
 class TestRobustness:
     def test_corrupt_entry_degrades_to_miss(self, tmp_path, art_events):

@@ -1,7 +1,10 @@
 """Tests for the §4.3 scenario pipeline: jobs -> scheduler -> cache ->
 pricer, and the FLUSH-vs-TAG invariants."""
 
+import importlib.util
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +264,35 @@ class TestScenarioJobs:
         assert result.events.task_read_misses == {
             "0:art": direct.read_misses
         }
+
+
+def _context_switch_bench():
+    """``benchmarks/bench_ablation_context_switch.py`` as a module."""
+    path = (Path(__file__).parents[2] / "benchmarks"
+            / "bench_ablation_context_switch.py")
+    spec = importlib.util.spec_from_file_location("bench_context_switch",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_context_switch_bench_names_a_mix_below_its_scale(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    """The bench's default mixes below the quick scale: equake+mcf
+    cannot get past its initialization phase, so the script names the
+    mix and the scale on one line and exits 2 instead of dying with a
+    traceback."""
+    bench = _context_switch_bench()
+    monkeypatch.setattr(sys, "argv", [
+        "bench_ablation_context_switch.py", "--scale", "20000:30000",
+        "--quantum", "1000", "--jobs", "1", "--no-cache",
+        "--trace-cache-dir", str(tmp_path / "traces"),
+        "--output", str(tmp_path / "out.json"),
+    ])
+    assert bench.main() == 2
+    [line] = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("equake+mcf")]
+    assert "at scale 20000:30000" in line
+    assert not (tmp_path / "out.json").exists()

@@ -1,15 +1,16 @@
-"""The stack-distance tier (:mod:`repro.timing.stack`) and its routing.
+"""The walks of :mod:`repro.timing.stack` and the batch pricer's routing.
 
-The tier prices every LRU SNC lane of a batch whose core decides as
-plain Algorithm 1 from stack distances instead of simulating each lane,
-§4.3 switch streams included.  Its unit tests compare it with one
-``OrderedDict`` LRU per lane on synthetic single-task columns, and with
-the per-event :class:`~repro.timing.model.SNCTimingSim` on synthetic
+:func:`~repro.timing.stack.price_stack` prices every LRU SNC lane of a
+batch whose core decides as plain Algorithm 1 from stack distances, and
+:func:`~repro.timing.stack.price_ranks` every such no-replacement lane
+from first-writeback ranks, §4.3 switch streams included.  The unit
+tests compare the stack walk with one ``OrderedDict`` LRU per lane on
+synthetic single-task columns, and both walks with the per-event
+:class:`~repro.timing.model.SNCTimingSim` on synthetic columns and
 FLUSH and TAG switch streams; the routing tests pin which lanes
-:func:`~repro.timing.batch.replay_events_batch` hands it (split-counter
-lanes only while no counter overflows), that a request mixing tier
-and batch lanes comes back whole and in order, and that integrity
-models never ride the generated batch pass.
+:func:`~repro.timing.batch.replay_events_batch` walks (split-counter
+lanes only while no counter overflows) and which take the per-event
+loop, and that a request mixing them comes back whole and in order.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ from repro.eval.record import record_source
 from repro.secure.integrity.__main__ import replay_per_event
 from repro.secure.schemes.otp_split import SplitSequenceCore
 from repro.secure.snc import SNCConfig, SNCPolicy
-from repro.secure.snc_policy import SwitchStrategy
+from repro.secure.snc_policy import (
+    ReadClass,
+    ReadDecision,
+    SNCPolicyCore,
+    SwitchStrategy,
+)
 from repro.timing.model import (
     EVENT_ALLOC,
     EVENT_READ,
@@ -49,7 +55,7 @@ from repro.timing.model import (
     EVENT_WRITEBACK,
     SNCTimingSim,
 )
-from repro.timing.stack import price_stack
+from repro.timing.stack import price_ranks, price_stack
 from repro.workloads.sources import MultiTaskInterleaver, SingleBenchmark
 from repro.workloads.spec import BY_NAME
 
@@ -194,9 +200,10 @@ def per_event(sim: SNCTimingSim, kinds, lines, aux) -> SNCTimingSim:
     return sim
 
 
-def _config(n_sets: int, ways: int) -> SNCConfig:
+def _config(n_sets: int, ways: int,
+            policy: SNCPolicy = SNCPolicy.LRU) -> SNCConfig:
     return SNCConfig(size_bytes=2 * n_sets * ways,
-                     assoc=ways if n_sets > 1 else None)
+                     assoc=ways if n_sets > 1 else None, policy=policy)
 
 
 def _switch_events(seed: int, n: int = 3_000, switch_every: float = 90,
@@ -268,6 +275,69 @@ def test_tier_matches_the_per_event_sim_on_switch_streams(name, strategy):
                        strategy is SwitchStrategy.FLUSH) == expected
 
 
+# ------------------------------------------------- no-replacement ranks
+
+#: Rank-walk lanes: the stack's geometries plus a duplicate fully
+#: associative capacity.
+RANK_GEOMETRIES = GEOMETRIES + ((1, 16),)
+
+#: Set 0 of a 4-set, 2-way lane admits lines 0 and 4 and rejects 8 and
+#: 12: reads and allocates before any writeback, of admitted lines and
+#: of rejected ones, and rejected lines written again.
+ADMISSION = [(EVENT_READ, 8), (EVENT_ALLOC, 4), (EVENT_WRITEBACK, 0),
+             (EVENT_WRITEBACK, 4), (EVENT_READ, 0), (EVENT_WRITEBACK, 8),
+             (EVENT_READ, 8), (EVENT_ALLOC, 8), (EVENT_WRITEBACK, 8),
+             (EVENT_RESET, 0), (EVENT_WRITEBACK, 12), (EVENT_ALLOC, 4),
+             (EVENT_READ, 12), (EVENT_WRITEBACK, 0), (EVENT_WRITEBACK, 12),
+             (EVENT_READ, 4), (EVENT_READ, 16)]
+
+
+def _norepl_counters(geometries, kinds, lines, aux) -> list[tuple]:
+    """Each no-replacement lane driven one per-event call at a time."""
+    return [
+        sim_counters(per_event(SNCTimingSim(_config(
+            n_sets, ways, SNCPolicy.NO_REPLACEMENT)), kinds, lines, aux))
+        for n_sets, ways in geometries
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS) + ["admission"])
+def test_ranks_match_the_per_event_sim(name):
+    kinds, lines = _columns(ADMISSION if name == "admission"
+                            else STREAMS[name])
+    aux = array("Q", bytes(8 * len(kinds)))
+    expected = _norepl_counters(RANK_GEOMETRIES, kinds, lines, aux)
+    assert price_ranks(RANK_GEOMETRIES, kinds, lines) == expected
+    assert price_ranks(RANK_GEOMETRIES, kinds, lines, aux) == expected
+
+
+def test_admission_stream_counts():
+    kinds, lines = _columns(ADMISSION)
+    [counters] = price_ranks([(4, 2)], kinds, lines)
+    # Window: reads of 12 (rejected, direct), 4 (admitted) and 16 (never
+    # written, version 0); 0 hits, 12 is rejected twice.
+    assert counters[:9] == (2, 0, 1, 1, 1, 2, 2, 0, 0)
+    # Lifetime: three query hits, two admissions, four rejections, no
+    # eviction.
+    assert counters[9:] == (3, 6, 1, 6, 2, 0, 4, 0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(SWITCH_STREAMS))
+def test_ranks_match_the_per_event_sim_on_tag_streams(name):
+    events = SWITCH_STREAMS[name]
+    kinds = array("B", (kind for kind, _line, _aux in events))
+    lines = array("Q", (line for _kind, line, _aux in events))
+    aux = array("Q", (owner for _kind, _line, owner in events))
+    assert price_ranks(RANK_GEOMETRIES, kinds, lines, aux, 0) == \
+        _norepl_counters(RANK_GEOMETRIES, kinds, lines, aux)
+
+
+def test_ranks_refuse_flush():
+    kinds, lines = _columns(STREAMS["no reset"])
+    with pytest.raises(ValueError):
+        price_ranks([(1, 4)], kinds, lines, flush=True)
+
+
 # ------------------------------------------------------------- routing
 
 
@@ -278,21 +348,32 @@ def recording():
 
 
 @pytest.fixture
-def tier_calls(monkeypatch):
-    """Every ``geometries`` list the batch pricer hands the tier."""
-    calls = []
+def walk_calls(monkeypatch):
+    """Every ``geometries`` list the batch pricer hands each walk, and
+    every sim it drives through the per-event loop."""
+    calls = {"stack": [], "ranks": [], "per-event": []}
 
-    def spy(geometries, *args):
-        calls.append(list(geometries))
-        return price_stack(geometries, *args)
+    def spy(name, walk):
+        def spied(geometries, *args):
+            calls[name].append(list(geometries))
+            return walk(geometries, *args)
+        return spied
 
-    monkeypatch.setattr(batch, "price_stack", spy)
+    per_event_loop = batch._replay_per_event
+
+    def per_event_spy(sim, *args):
+        calls["per-event"].append(sim)
+        per_event_loop(sim, *args)
+
+    monkeypatch.setattr(batch, "price_stack", spy("stack", price_stack))
+    monkeypatch.setattr(batch, "price_ranks", spy("ranks", price_ranks))
+    monkeypatch.setattr(batch, "_replay_per_event", per_event_spy)
     return calls
 
 
-def _batch_only(monkeypatch):
-    monkeypatch.setattr(batch, "_stack_lanes",
-                        lambda sims, *_args: [False] * len(sims))
+def _per_event_only(monkeypatch):
+    monkeypatch.setattr(batch, "_lane_walks",
+                        lambda sims, *_args: [None] * len(sims))
 
 
 MIXED = (
@@ -303,6 +384,10 @@ MIXED = (
     SNCSpec(key="d_split", size_bytes=8 * 1024, scheme="otp_split"),
     SNCSpec(key="e_lru64k_32way", size_bytes=64 * 1024, assoc=32),
     SNCSpec(key="f_lru32k", size_bytes=32 * 1024),
+    SNCSpec(key="g_norepl16k_8way", size_bytes=16 * 1024, assoc=8,
+            policy=SNCPolicy.NO_REPLACEMENT.value),
+    SNCSpec(key="h_split_norepl", size_bytes=8 * 1024, scheme="otp_split",
+            policy=SNCPolicy.NO_REPLACEMENT.value),
 )
 
 
@@ -311,12 +396,15 @@ def _mixed_task(integrity=()):
                           integrity=integrity)
 
 
-def test_only_plain_lru_lanes_take_the_tier(recording, tier_calls):
+def test_every_plain_lane_takes_a_walk(recording, walk_calls):
     integrity = (IntegrityModelSpec(key="mac", provider="mac"),)
-    price_batch([_mixed_task(integrity)], recording)
-    # The split lane's counters never overflow on this stream.
-    assert tier_calls == [[(1024, 8), (1, 4096), (1, 4096), (1024, 32),
-                           (1, 16384)]]
+    [events] = price_batch([_mixed_task(integrity)], recording)
+    # The split lanes' counters never overflow on this stream.
+    assert walk_calls["stack"] == [[(1024, 8), (1, 4096), (1, 4096),
+                                    (1024, 32), (1, 16384)]]
+    assert walk_calls["ranks"] == [[(1, 4096), (1024, 8), (1, 4096)]]
+    assert walk_calls["per-event"] == []
+    assert events.snc["b_norepl"].rejected_updates > 0  # capacity bites
 
 
 def test_mixed_request_returns_canonical_lane_order(recording,
@@ -326,7 +414,7 @@ def test_mixed_request_returns_canonical_lane_order(recording,
     [events] = price_batch([task], recording)
     assert tuple([("snc", key) for key in events.snc] + [
         ("integrity", key) for key in events.integrity]) == task_lanes(task)
-    _batch_only(monkeypatch)
+    _per_event_only(monkeypatch)
     [expected] = price_batch([task], recording)
     assert events == expected
 
@@ -351,54 +439,94 @@ _SWITCH_CONFIGS = {"lru8k": SNCConfig(size_bytes=8 * 1024),
                    "split8k_16way": SNCConfig(size_bytes=8 * 1024,
                                               assoc=16)}
 _SWITCH_SCHEMES = {"lru8k": "otp", "split8k_16way": "otp_split"}
+#: No-replacement lanes, which only TAG can switch.
+_TAG_CONFIGS = {
+    "norepl2k": SNCConfig(size_bytes=2 * 1024,
+                          policy=SNCPolicy.NO_REPLACEMENT),
+    "norepl4k_32way": SNCConfig(size_bytes=4 * 1024, assoc=32,
+                                policy=SNCPolicy.NO_REPLACEMENT),
+}
 
 
 @pytest.mark.parametrize("strategy", list(SwitchStrategy))
-def test_switch_stream_lanes_take_the_tier(scenario, tier_calls,
-                                           monkeypatch, strategy):
+def test_switch_stream_lanes_take_a_walk(scenario, walk_calls,
+                                         monkeypatch, strategy):
+    tag = strategy is SwitchStrategy.TAG
+    configs = {**_SWITCH_CONFIGS, **(_TAG_CONFIGS if tag else {})}
+
     def price():
-        sims = _build_sims(_SWITCH_CONFIGS, _SWITCH_SCHEMES, strategy)
+        sims = _build_sims(configs, _SWITCH_SCHEMES, strategy)
         for sim in sims.values():
             sim.begin_task(scenario.tasks[0].xom_id)
         return _price(sims, scenario)
 
-    tier = price()
-    assert tier_calls == [[(1, 4096), (256, 16)]]
-    _batch_only(monkeypatch)
-    assert price() == tier
+    walked = price()
+    assert walk_calls["stack"] == [[(1, 4096), (256, 16)]]
+    assert walk_calls["ranks"] == ([[(1, 1024), (64, 32)]] if tag else [])
+    if tag:
+        assert walked["norepl2k"][0]["rejected_updates"] > 0
+    _per_event_only(monkeypatch)
+    assert price() == walked
 
 
-def test_warm_snc_stays_on_batch(recording, tier_calls, monkeypatch):
-    # The tier assumes an empty SNC; a sim warmed by per-event calls
-    # keeps its state on the batch pass.
-    configs = {"lru8k": SNCConfig(size_bytes=8 * 1024)}
+@pytest.mark.parametrize("policy", list(SNCPolicy))
+def test_warm_snc_takes_the_per_event_loop(recording, walk_calls,
+                                           monkeypatch, policy):
+    # The walks assume an empty SNC; a sim warmed by per-event calls
+    # keeps its state through the per-event loop.
+    configs = {"snc8k": SNCConfig(size_bytes=8 * 1024, policy=policy)}
 
     def price():
         [sim] = _build_sims(configs, None).values()
         for line in range(64):
-            sim.read_miss(line)
+            sim.writeback(line)
         batch.replay_events_batch([sim], [], recording.kinds,
                                   recording.lines, recording.aux)
         return asdict(sim.counts), asdict(sim.snc.stats)
 
     warm = price()
-    assert tier_calls == []
-    _batch_only(monkeypatch)
+    assert walk_calls["stack"] == walk_calls["ranks"] == []
+    assert len(walk_calls["per-event"]) == 1
+    _per_event_only(monkeypatch)
     assert price() == warm
 
 
-def test_foreign_writeback_owner_takes_the_tier(recording, tier_calls,
-                                                monkeypatch):
+class _ReadOverride(SNCPolicyCore):
+    """A core overriding ``read`` itself: every read miss is direct."""
+
+    def read(self, line_index):
+        return ReadDecision(ReadClass.DIRECT, None)
+
+
+@pytest.mark.parametrize("policy", list(SNCPolicy))
+def test_core_overriding_read_takes_the_per_event_loop(recording,
+                                                       walk_calls,
+                                                       policy):
+    config = SNCConfig(size_bytes=8 * 1024, policy=policy)
+    priced = SNCTimingSim(config, core_factory=_ReadOverride)
+    batch.replay_events_batch([priced], [], recording.kinds,
+                              recording.lines, recording.aux)
+    assert walk_calls["stack"] == walk_calls["ranks"] == []
+    expected = per_event(SNCTimingSim(config, core_factory=_ReadOverride),
+                         recording.kinds, recording.lines, recording.aux)
+    assert sim_counters(priced) == sim_counters(expected)
+    assert priced.counts.direct_reads == priced.counts.reads > 0
+
+
+def test_foreign_writeback_owner_takes_a_walk(recording, walk_calls,
+                                              monkeypatch):
     # A writeback owned by another task takes the descheduled path: an
     # ordinary write under its owner's tag (TAG, the figure path's
-    # default), which the tier keys apart.
+    # default), which the walks key apart.
     aux = array("Q", recording.aux)
     aux[recording.kinds.index(EVENT_WRITEBACK)] = 7
-    configs = {"lru8k": SNCConfig(size_bytes=8 * 1024)}
-    tier = _price(_build_sims(configs, None), recording, aux)
-    assert tier_calls == [[(1, 4096)]]
-    _batch_only(monkeypatch)
-    assert _price(_build_sims(configs, None), recording, aux) == tier
+    configs = {"lru8k": SNCConfig(size_bytes=8 * 1024),
+               "norepl8k": SNCConfig(size_bytes=8 * 1024,
+                                     policy=SNCPolicy.NO_REPLACEMENT)}
+    walked = _price(_build_sims(configs, None), recording, aux)
+    assert walk_calls["stack"] == walk_calls["ranks"] == [[(1, 4096)]]
+    _per_event_only(monkeypatch)
+    assert _price(_build_sims(configs, None), recording, aux) == walked
 
 
 def _narrow_split(config, strategy):
@@ -416,21 +544,24 @@ def _narrow_split(config, strategy):
     ("switches", SwitchStrategy.FLUSH),
     ("switches", SwitchStrategy.TAG),
 ])
-def test_overflowing_split_lanes_stay_on_batch(scenario, tier_calls,
-                                               stream, strategy):
+def test_overflowing_split_lanes_take_the_per_event_loop(
+        scenario, walk_calls, stream, strategy):
     # gzip re-reads lines it wrote, so retired lines read direct.
     source = scenario if stream == "switches" else record_source(
         SingleBenchmark(BY_NAME["gzip"]), scale=_SCALE,
         include_alt_l2=False)
-    configs = (SNCConfig(size_bytes=8 * 1024),
-               SNCConfig(size_bytes=8 * 1024, assoc=16))
+    configs = [SNCConfig(size_bytes=8 * 1024),
+               SNCConfig(size_bytes=8 * 1024, assoc=16)]
+    if strategy is SwitchStrategy.TAG:
+        configs.append(SNCConfig(size_bytes=8 * 1024,
+                                 policy=SNCPolicy.NO_REPLACEMENT))
     priced = {}
     for index, config in enumerate(configs):
         sim = _narrow_split(config, strategy)
         sim.begin_task(source.tasks[0].xom_id)
         priced[index] = sim
     _price(priced, source)
-    assert tier_calls == []
+    assert walk_calls["stack"] == walk_calls["ranks"] == []
     for index, config in enumerate(configs):
         sim = _narrow_split(config, strategy)
         sim.begin_task(source.tasks[0].xom_id)
@@ -440,7 +571,7 @@ def test_overflowing_split_lanes_stay_on_batch(scenario, tier_calls,
         assert sim.counts.direct_reads > 0
 
 
-def test_tier_stats_equal_the_batch_pricer(recording, monkeypatch):
+def test_walked_stats_equal_the_per_event_loop(recording, monkeypatch):
     configs = {spec.key: spec.to_config() for spec in MIXED
                if spec.scheme == "otp"}
 
@@ -452,10 +583,11 @@ def test_tier_stats_equal_the_batch_pricer(recording, monkeypatch):
         return {key: (asdict(sim.counts), asdict(sim.snc.stats))
                 for key, sim in sims.items()}
 
-    tier = price()
-    assert tier["c_lru8k"][1]["evictions"] > 0  # capacity bites
-    _batch_only(monkeypatch)
-    assert tier == price()
+    walked = price()
+    assert walked["c_lru8k"][1]["evictions"] > 0  # capacity bites
+    assert walked["b_norepl"][1]["rejected"] > 0
+    _per_event_only(monkeypatch)
+    assert walked == price()
 
 
 # ---------------------------------------------------- integrity routing
@@ -466,28 +598,35 @@ _INTEGRITY = (IntegrityModelSpec(key="mac", provider="mac"),
                                  node_cache_entries=256))
 
 
-def test_integrity_only_request_runs_no_generated_pass(recording,
-                                                       tier_calls):
+def test_integrity_only_request_drives_no_sim_per_event(recording,
+                                                        walk_calls):
     task = SimulationTask(
         workload="equake", scale=_SCALE, integrity=_INTEGRITY,
         snc_configs=(SNCSpec(key="lru64k", size_bytes=64 * 1024),))
-    _cached, hits, compiles = batch.compiled_batch_info()
     [events] = price_batch([task], recording)
-    assert tier_calls == [[(1, 32768)]]
-    assert batch.compiled_batch_info()[1:] == (hits, compiles)
+    assert walk_calls["stack"] == [[(1, 32768)]]
+    assert walk_calls["per-event"] == []
     assert events.integrity["tree_nc256"].node_cache_hits > 0
 
 
-def test_integrity_beside_batched_lanes_equals_per_event(recording,
-                                                         tier_calls,
-                                                         monkeypatch):
+def test_compiled_batch_info_reads_zero():
+    # The batch pricer compiles nothing; the counters stay for readers
+    # of the old compile-cache fields.
+    assert batch.compiled_batch_info() == (0, 0, 0)
+
+
+def test_integrity_beside_per_event_lanes_equals_per_event(recording,
+                                                           walk_calls,
+                                                           monkeypatch):
     # 1-bit split counters: a line's second writeback overflows.
     monkeypatch.setattr(otp_split, "COUNTER_BITS", 1)
     task = SimulationTask(workload="equake", scale=_SCALE,
                           integrity=_INTEGRITY,
                           snc_configs=MIXED[:4])
     [events] = price_batch([task], recording)
-    assert tier_calls == [[(1024, 8), (1, 4096)]]
+    assert walk_calls["stack"] == [[(1024, 8), (1, 4096)]]
+    assert walk_calls["ranks"] == [[(1, 4096)]]
+    assert len(walk_calls["per-event"]) == 1
     request = replay_request_for(task)
     sims = _build_sims(dict(request.snc_configs),
                        dict(request.snc_schemes))
