@@ -9,8 +9,7 @@ like figure jobs, with each provider's byte-free timing model riding the
 same trace pass.
 
 As a script it emits ``BENCH_integrity.json`` (slowdowns, hashes per
-verification, node-cache hit rates, and the measured speedup of the
-leaf-path memoization in the functional hash tree; CI uploads it)::
+verification and node-cache hit rates; CI uploads it)::
 
     python benchmarks/bench_ablation_integrity.py \\
         --scale 20000:30000 --jobs 2 --output BENCH_integrity.json
@@ -57,58 +56,6 @@ def run_sweep(workloads=INTEGRITY_WORKLOADS, scale=None, n_jobs=1,
     )
 
 
-def measure_path_memoization(verify_lines: int = 128,
-                             verify_rounds: int = 2,
-                             path_lines: int = 2048,
-                             path_rounds: int = 16) -> dict[str, dict]:
-    """Measure the leaf-path memoization two ways.
-
-    ``path_arithmetic`` times the memoized piece in isolation — the
-    leaf-address -> ancestor-index chain of a full-depth tree — which is
-    where the memoization's real speedup lives.  ``verify`` times the
-    whole functional ``verify_line`` on a small filled tree for the
-    end-to-end number; there the pure-Python SHA-256 dominates (about
-    1.5 ms per node), so expect that speedup to sit near 1.0x — the
-    honest denominator the JSON records alongside the arithmetic win.
-    """
-    results: dict[str, dict] = {}
-
-    timings: dict[str, float] = {}
-    for label, memoize in (("unmemoized", False), ("memoized", True)):
-        tree = HashTreeIntegrity(base_addr=0, n_lines=1 << 19,
-                                 memoize_paths=memoize)
-        path = tree._path
-        addrs = [line * 128 for line in range(path_lines)]
-        started = time.perf_counter()
-        for _ in range(path_rounds):
-            for addr in addrs:
-                path(addr)
-        timings[label] = time.perf_counter() - started
-    timings["speedup"] = timings["unmemoized"] / timings["memoized"]
-    results["path_arithmetic"] = timings
-
-    trees = {}
-    timings = {"unmemoized": 0.0, "memoized": 0.0}
-    for label, memoize in (("unmemoized", False), ("memoized", True)):
-        tree = HashTreeIntegrity(base_addr=0, n_lines=verify_lines,
-                                 memoize_paths=memoize)
-        for line in range(verify_lines):
-            tree.record_line(line * 128, _LINE)
-        trees[label] = tree
-    # Interleave the rounds so clock drift and GC hit both variants
-    # equally — the absolute numbers are SHA-256-bound either way.
-    for _ in range(verify_rounds):
-        for label, tree in trees.items():
-            verify = tree.verify_line
-            started = time.perf_counter()
-            for line in range(verify_lines):
-                verify(line * 128, _LINE)
-            timings[label] += time.perf_counter() - started
-    timings["speedup"] = timings["unmemoized"] / timings["memoized"]
-    results["verify"] = timings
-    return results
-
-
 # ------------------------------------------------------------------ pytest
 
 
@@ -148,23 +95,6 @@ def test_mac_replay_blindness():
     mac.tag_table[0] = stale_tag  # adversary rolls tag and line back
     mac.verify_line(0, _LINE)  # no exception: replay undetected
     assert mac.stats.failures == 0
-
-
-def test_path_memoization_is_count_transparent():
-    """Memoizing the leaf->root index arithmetic must not change a
-    single counter or verdict — only the wall clock."""
-    trees = [
-        HashTreeIntegrity(base_addr=0, n_lines=64, node_cache_entries=16,
-                          memoize_paths=memoize)
-        for memoize in (False, True)
-    ]
-    for tree in trees:
-        for line in range(64):
-            tree.record_line(line * 128, _LINE)
-        for line in range(64):
-            tree.verify_line(line * 128, _LINE)
-    assert trees[0].stats == trees[1].stats
-    assert trees[0].node_store == trees[1].node_store
 
 
 def test_memoized_verify_throughput(benchmark):
@@ -227,27 +157,10 @@ def main() -> int:
             per_config[key] = entry
         configs[name] = per_config
 
-    memoization = measure_path_memoization()
-    arithmetic = memoization["path_arithmetic"]
-    verify = memoization["verify"]
-    print(
-        f"leaf-path memoization: arithmetic "
-        f"{arithmetic['unmemoized']:.3f}s -> "
-        f"{arithmetic['memoized']:.3f}s "
-        f"({arithmetic['speedup']:.1f}x); full verify "
-        f"{verify['unmemoized']:.3f}s -> {verify['memoized']:.3f}s "
-        f"({verify['speedup']:.2f}x, hash-dominated)",
-        file=sys.stderr,
-    )
-
     payload = {
         "benchmark": "integrity_ablation",
         "workloads": configs,
         "node_cache_sizes": list(INTEGRITY_NODE_CACHE_SIZES),
-        "path_memoization": {
-            block: {key: round(value, 4) for key, value in values.items()}
-            for block, values in memoization.items()
-        },
         "scale": {"warmup_refs": args.scale.warmup_refs,
                   "measure_refs": args.scale.measure_refs},
         "python": platform.python_version(),

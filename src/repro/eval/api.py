@@ -20,9 +20,9 @@ promises:
     :class:`TraceStore` persists the wire form across runs.
 
 **Pricing** (phase 2)
-    ``recording.replay_batch(...)`` prices many :class:`ReplayRequest`
-    sets in a single event-major pass; :func:`price_batch` is the
-    task-level spelling the scheduler uses.
+    :func:`price_batch` prices any number of tasks over one
+    :class:`Recording` in a single event-major pass — the one pricing
+    call, which the scheduler uses too.
 
 **Running experiments**
     One task family: a :class:`Task` is one trace pass — a figure pass
@@ -147,11 +147,7 @@ from repro.eval.pool import (
     reset_pool_stats,
     shutdown_worker_pool,
 )
-from repro.eval.record import (
-    Recording,
-    ReplayRequest,
-    record_source,
-)
+from repro.eval.record import Recording, record_source
 from repro.eval.report import (
     format_client_stats,
     format_figure,
@@ -199,7 +195,6 @@ __all__ = [
     "QUICK_SCALE",
     "RecordTask",
     "Recording",
-    "ReplayRequest",
     "ResultCache",
     "SCENARIO_SCHEMES",
     "SCENARIO_STRATEGIES",

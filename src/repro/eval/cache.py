@@ -36,11 +36,13 @@ from repro.timing.model import SNCEventCounts
 #: Bump when the serialization layout changes.
 CACHE_FORMAT = 2  # 2: BenchmarkEvents gained per-config integrity counts
 
-#: Modules whose source determines simulation results.  Pricing-only code
+#: Modules whose source determines simulation results (``jobs`` builds
+#: each task's state machines and assembles its events).  Pricing-only code
 #: (latency parameters, report formatting) deliberately stays out: a tweak
 #: there reuses cached events, which is the whole point of splitting
 #: simulation from pricing.
 _FINGERPRINT_MODULES = (
+    "repro.eval.jobs",
     "repro.eval.pipeline",
     "repro.eval.record",
     "repro.memory.cache",

@@ -56,15 +56,13 @@ from repro.eval.pipeline import (
     SimulationScale,
     standard_snc_configs,
 )
-from repro.eval.record import (
-    Recording,
-    ReplayRequest,
-    record_source,
-)
+from repro.eval.record import Recording, record_source
 from repro.secure.integrity import IntegrityConfig, get_integrity
 from repro.secure.schemes import get_scheme
 from repro.secure.snc import SNCConfig, SNCPolicy
 from repro.secure.snc_policy import SwitchStrategy
+from repro.timing.batch import replay_events_batch
+from repro.timing.model import SNCTimingSim, calibrate_compute_cycles
 from repro.workloads.sources import (
     TRACE_XOM_SLOWDOWN_PCT,
     MultiTaskInterleaver,
@@ -110,6 +108,17 @@ class SNCSpec:
             assoc=self.assoc,
             policy=SNCPolicy(self.policy),
         )
+
+    def build_sim(self, strategy: str | None = None) -> SNCTimingSim:
+        """This configuration's timing state machine, built by its
+        scheme's registry spec.  ``strategy`` selects the §4.3 switch
+        handling; ``None`` (a figure pass, which never switches) keeps
+        the scheme's default."""
+        build = get_scheme(self.scheme).build_timing_sim
+        if strategy is None:
+            return build(self.to_config())
+        return build(self.to_config(),
+                     switch_strategy=SwitchStrategy(strategy))
 
     def canonical(self) -> list:
         return [self.key, self.size_bytes, self.entry_bytes, self.assoc,
@@ -159,6 +168,13 @@ class IntegrityModelSpec:
             n_lines=self.n_lines,
             node_cache_entries=self.node_cache_entries,
             tag_bytes=self.tag_bytes,
+        )
+
+    def build_model(self):
+        """This configuration's byte-free timing model, built by its
+        provider's registry spec."""
+        return get_integrity(self.provider).build_timing_model(
+            self.to_config()
         )
 
     def canonical(self) -> list:
@@ -286,10 +302,16 @@ class SourceSpec:
 def _check_pass(source: SourceSpec, snc_configs: tuple[SNCSpec, ...],
                 strategy: str | None, alt_l2: bool) -> None:
     """Reject a pass the engine cannot price: an unregistered scheme or
-    switch strategy, a figure pass over anything but one benchmark, or
-    the Figure 8 alternate L2 on a scenario."""
+    switch strategy, a scheme without an SNC timing state machine, a
+    figure pass over anything but one benchmark, or the Figure 8
+    alternate L2 on a scenario."""
     for spec in snc_configs:
-        get_scheme(spec.scheme)  # raises KeyError on an unregistered one
+        # get_scheme raises KeyError on an unregistered scheme.
+        if not get_scheme(spec.scheme).uses_snc:
+            raise ConfigurationError(
+                f"scheme {spec.scheme!r} declares no SNC timing state "
+                f"machine — config {spec.key!r} cannot be simulated"
+            )
     if strategy is not None:
         SwitchStrategy(strategy)  # raises ValueError on a bad name
         if alt_l2:
@@ -555,45 +577,17 @@ def total_lane_count(tasks: Sequence[Task]) -> int:
                for task in tasks)
 
 
-def replay_request_for(task: Task,
-                       lanes: Sequence[Lane] | None = None,
-                       ) -> ReplayRequest:
-    """A task's replay-side configuration as the request object
-    :meth:`~repro.eval.record.Recording.replay_batch` consumes.
-    ``lanes`` keeps only the named subset of the task's lanes (a shard
-    of a sharded batch pass; ``None`` means all of them); filtering
-    preserves the canonical key-sorted spec order, so a shard's dicts
-    iterate exactly like the matching slice of the full task's."""
-    snc_specs = task.snc_configs
-    integrity_specs = task.integrity
-    if lanes is not None:
-        picked = set(lanes)
-        snc_specs = tuple(spec for spec in snc_specs
-                          if ("snc", spec.key) in picked)
-        integrity_specs = tuple(spec for spec in integrity_specs
-                                if ("integrity", spec.key) in picked)
-    strategy = task.strategy
-    return ReplayRequest(
-        snc_configs={spec.key: spec.to_config() for spec in snc_specs},
-        snc_schemes={spec.key: spec.scheme for spec in snc_specs},
-        strategy=None if strategy is None else SwitchStrategy(strategy),
-        alt_l2=task.alt_l2,
-        integrity_configs={spec.key: spec.to_config()
-                           for spec in integrity_specs},
-        integrity_providers={spec.key: spec.provider
-                             for spec in integrity_specs},
-    )
-
-
 def price_batch(tasks: Sequence[Task],
                 recording: Recording,
                 lanes: Sequence[Sequence[Lane] | None] | None = None,
                 ) -> list[BenchmarkEvents]:
-    """Run many tasks of one recording as a single batch-priced pass:
-    the union of every task's state machines consumes the shared
-    columns event-major (:meth:`~repro.eval.record.Recording.
-    replay_batch`), and each task gets its events back in order —
-    identical to pricing each task on its own.
+    """Phase 2: price many tasks of one recording as a single batch
+    pass.  Every task's state machines are built from its specs and
+    the union consumes the shared columns event-major
+    (:func:`repro.timing.batch.replay_events_batch`); each task gets
+    its events back in order — identical to pricing each task on its
+    own.  Only a task's pricing fields are read (SNC and integrity
+    specs, strategy, ``alt_l2``); the recording supplies the rest.
 
     ``lanes`` (parallel to ``tasks``) restricts each task to a lane
     subset — one shard of a lane-sharded pass; a ``None`` entry keeps
@@ -602,9 +596,75 @@ def price_batch(tasks: Sequence[Task],
     reassembles the full object from the shards."""
     if lanes is None:
         lanes = [None] * len(tasks)
-    requests = [replay_request_for(task, lanes=lane_subset)
-                for task, lane_subset in zip(tasks, lanes)]
-    return recording.replay_batch(requests)
+    built = []
+    for task, lane_subset in zip(tasks, lanes):
+        if task.alt_l2 and recording.read_misses_big_l2 is None:
+            raise ConfigurationError(
+                f"{recording.name}: this recording carries no "
+                "alternate-L2 counts — re-record with include_alt_l2=True"
+            )
+        picked = None if lane_subset is None else set(lane_subset)
+        sims = {spec.key: spec.build_sim(task.strategy)
+                for spec in task.snc_configs
+                if picked is None or ("snc", spec.key) in picked}
+        if task.strategy is not None:
+            for sim in sims.values():
+                sim.begin_task(recording.tasks[0].xom_id)
+        models = {spec.key: spec.build_model()
+                  for spec in task.integrity
+                  if picked is None or ("integrity", spec.key) in picked}
+        built.append((sims, models))
+    replay_events_batch(
+        [sim for sims, _models in built for sim in sims.values()],
+        [model for _sims, models in built for model in models.values()],
+        recording.kinds, recording.lines, recording.aux,
+    )
+    return [_task_events(task, recording, sims, models)
+            for task, (sims, models) in zip(tasks, built)]
+
+
+def _task_events(task: Task, recording: Recording, sims: dict,
+                 models: dict) -> BenchmarkEvents:
+    """One task's :class:`BenchmarkEvents`: its priced state machines
+    plus the recorded aggregates.  A figure pass calibrates compute
+    from its one task's Figure 3 anchor; a scenario calibrates per
+    task, summed, and keeps the per-task load-miss split."""
+    tasks = recording.tasks
+    read_misses = recording.read_misses
+    task_read_misses = None
+    if task.strategy is None:
+        target = tasks[0].xom_slowdown_pct
+        compute = calibrate_compute_cycles(read_misses, target)
+    else:
+        misses = recording.task_read_misses
+        compute = sum(
+            calibrate_compute_cycles(misses[t.xom_id], t.xom_slowdown_pct)
+            for t in tasks if misses[t.xom_id]
+        )
+        if len(tasks) == 1:
+            target = tasks[0].xom_slowdown_pct
+        else:
+            target = sum(t.xom_slowdown_pct * misses[t.xom_id]
+                         for t in tasks) / read_misses
+        task_read_misses = {f"{t.xom_id}:{t.label}": misses[t.xom_id]
+                            for t in tasks}
+    return BenchmarkEvents(
+        name=recording.name,
+        xom_slowdown_target=target,
+        read_misses=read_misses,
+        allocate_misses=recording.allocate_misses,
+        writebacks=recording.writebacks,
+        read_misses_big_l2=(
+            recording.read_misses_big_l2 if task.alt_l2 else None
+        ),
+        allocate_misses_big_l2=(
+            recording.allocate_misses_big_l2 if task.alt_l2 else None
+        ),
+        compute_cycles=compute,
+        snc={key: sim.counts for key, sim in sims.items()},
+        integrity={key: model.counts for key, model in models.items()},
+        task_read_misses=task_read_misses,
+    )
 
 
 def merge_shard_events(task: Task,

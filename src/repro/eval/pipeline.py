@@ -8,18 +8,19 @@ Each workload source drives one pass through:
   references — only its aggregate miss counts are kept;
 * one SNC timing state machine per requested configuration, fed the
   baseline L2's miss stream.  Each state machine is built by its
-  protection scheme's registry spec (:mod:`repro.secure.schemes`), so
-  scheme variants like ``otp_split`` ride the same pipeline — plus one
-  byte-free integrity model per requested integrity configuration.
+  protection scheme's registry spec (:mod:`repro.secure.schemes`, via
+  :meth:`repro.eval.jobs.SNCSpec.build_sim`), so scheme variants like
+  ``otp_split`` ride the same pipeline — plus one byte-free integrity
+  model per requested integrity configuration.
 
 The pass runs in two phases: :func:`repro.eval.record.record_source`
 runs the workload and the L2s once per (source, scale, seed) and keeps
-the compacted event stream, and :func:`repro.timing.batch.
-replay_events_batch` prices it through every configuration at once.
-This module holds what both phases and their callers share: the trace
-scale, the cache geometries, the :class:`BenchmarkEvents` result, and
-the builders for the per-config state machines.  The slow per-reference loop both phases are checked
-against lives in the test suite (``tests/eval/oracle.py``).
+the compacted event stream, and :func:`repro.eval.jobs.price_batch`
+prices it through every configuration at once.  This module holds what
+both phases and their callers share: the trace scale, the cache
+geometries and the :class:`BenchmarkEvents` result.  The slow
+per-reference loop both phases are checked against lives in the test
+suite (``tests/eval/oracle.py``).
 
 Counters reset at the warmup boundary while all cache/SNC *state* stays
 warm, mirroring the paper's fast-forward methodology (10B instructions of
@@ -33,14 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.secure.integrity import (
-    IntegrityConfig,
-    IntegrityEventCounts,
-    get_integrity,
-)
-from repro.secure.schemes import get_scheme
+from repro.secure.integrity import IntegrityEventCounts
 from repro.secure.snc import SNCConfig, SNCPolicy
-from repro.secure.snc_policy import SwitchStrategy
 from repro.timing.model import SNCEventCounts, TraceEvents
 
 #: The paper's cache geometries, in 128-byte lines.
@@ -148,55 +143,3 @@ class BenchmarkEvents:
             ),
         )
 
-
-def _build_sims(snc_configs: dict[str, SNCConfig],
-                snc_schemes: dict[str, str] | None,
-                switch_strategy: SwitchStrategy | None = None) -> dict:
-    """One timing state machine per config, built by its scheme's spec.
-
-    ``switch_strategy`` selects the §4.3 context-switch handling for
-    scenario runs; ``None`` (the figure path, which never switches) uses
-    each scheme's default."""
-    snc_schemes = snc_schemes or {}
-    sims = {}
-    for name, config in snc_configs.items():
-        scheme = get_scheme(snc_schemes.get(name, "otp"))
-        if scheme.build_timing_sim is None:
-            raise ConfigurationError(
-                f"scheme {scheme.key!r} declares no SNC timing state "
-                f"machine — config {name!r} cannot be simulated"
-            )
-        if switch_strategy is None:
-            sims[name] = scheme.build_timing_sim(config)
-        else:
-            sims[name] = scheme.build_timing_sim(
-                config, switch_strategy=switch_strategy
-            )
-    return sims
-
-
-def _build_integrity_models(
-    integrity_configs: dict[str, IntegrityConfig] | None,
-    integrity_providers: dict[str, str] | None,
-) -> dict:
-    """One byte-free integrity model per config, built by its spec.
-
-    ``integrity_providers`` maps each config key to the registered
-    :class:`~repro.secure.integrity.IntegritySpec` that simulates it.
-    ``None``/empty configs (the figure path) build nothing, which is why
-    the paper tables are untouched by the integrity axis."""
-    models = {}
-    for name, config in (integrity_configs or {}).items():
-        provider_key = (integrity_providers or {}).get(name)
-        if provider_key is None:
-            raise ConfigurationError(
-                f"integrity config {name!r} names no registered provider"
-            )
-        spec = get_integrity(provider_key)
-        if spec.build_timing_model is None:
-            raise ConfigurationError(
-                f"integrity provider {spec.key!r} declares no timing "
-                f"model — config {name!r} cannot be simulated"
-            )
-        models[name] = spec.build_timing_model(config)
-    return models

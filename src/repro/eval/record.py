@@ -1,26 +1,23 @@
-"""Phase 1 + phase 2 of the record/replay trace engine.
+"""Phase 1 of the record/replay trace engine: the record pass.
 
 Every SNC geometry, protection scheme, integrity model and §4.3 switch
 strategy consumes the exact same L2 miss/writeback stream, so the
-workload + L2 part of a simulation is *configuration-independent*.  This
-module splits the pass in two:
+workload + L2 part of a simulation is *configuration-independent*.
+:func:`record_source` runs the workload source and the L2(s) **once**
+per (source, scale, seed, L2 geometry) and keeps only the compacted
+events: read/allocate misses, writebacks (with their owner), context
+switches, and the warmup boundary, plus the measured aggregate counters.
+The result is a :class:`Recording`, persisted by
+:mod:`repro.eval.trace_store`; phase 2,
+:func:`repro.eval.jobs.price_batch`, prices any number of tasks from
+it.
 
-* :func:`record_source` — run the workload source and the L2(s) **once**
-  per (source, scale, seed, L2 geometry) and keep only the compacted
-  events: read/allocate misses, writebacks (with their owner), context
-  switches, and the warmup boundary, plus the measured aggregate counters.
-  The result is a :class:`Recording`, persisted by
-  :mod:`repro.eval.trace_store`.
-* :meth:`Recording.replay_batch` — phase 2: price many configuration
-  sets together from the recording
-  (:func:`repro.timing.batch.replay_events_batch`, one walk per SNC
-  geometry group) and assemble one
-  :class:`~repro.eval.pipeline.BenchmarkEvents` per set.
-
-Both phases are checked against the per-reference oracle in
-``tests/eval/oracle.py`` (one loop over the scalar stream driving the L2
-and every state machine directly): the recorder column for column and
-byte for byte on the wire, the pricer field for field.
+This module keys the trace store (its code is part of
+:func:`repro.eval.trace_store.record_fingerprint`), so it holds the
+record pass and nothing of the pricing side: an edit to pricing code
+never renames a stored recording.  The recorder is checked against the
+per-reference oracle in ``tests/eval/oracle.py`` column for column and
+byte for byte on the wire.
 
 Event vocabulary: parallel typed columns ``kinds`` / ``lines`` / ``aux``
 (:mod:`array`), one entry per event, using the ``EVENT_*`` constants from
@@ -32,32 +29,23 @@ every counter zeroes while state stays warm.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.memory.cache import TagOnlyCache
-from repro.secure.integrity import IntegrityConfig
-from repro.secure.snc import SNCConfig
-from repro.secure.snc_policy import SwitchStrategy
-from repro.timing.batch import replay_events_batch
 from repro.timing.model import (
     EVENT_ALLOC,
     EVENT_READ,
     EVENT_RESET,
     EVENT_SWITCH,
     EVENT_WRITEBACK,
-    calibrate_compute_cycles,
 )
 from repro.eval.pipeline import (
     L2_BASE_ASSOC,
     L2_BASE_LINES,
     L2_BIG_ASSOC,
     L2_BIG_LINES,
-    BenchmarkEvents,
     SimulationScale,
-    _build_integrity_models,
-    _build_sims,
 )
 from repro.workloads.sources import Switch, WorkloadSource
 
@@ -79,25 +67,6 @@ class RecordedTask:
     xom_id: int
     label: str
     xom_slowdown_pct: float
-
-
-@dataclass(frozen=True)
-class ReplayRequest:
-    """One replay's configuration set — what distinguishes the tasks a
-    :meth:`Recording.replay_batch` pass prices together.
-
-    ``strategy`` selects the flavor: ``None`` is the figure path (no
-    task bookkeeping, scheme-default switch handling, optional
-    alternate-L2 aggregates), a :class:`~repro.secure.snc_policy.
-    SwitchStrategy` is the §4.3 scenario path (per-task cores, per-task
-    compute calibration)."""
-
-    snc_configs: Mapping[str, SNCConfig]
-    snc_schemes: Mapping[str, str] | None = None
-    strategy: SwitchStrategy | None = None
-    alt_l2: bool = False
-    integrity_configs: Mapping[str, IntegrityConfig] | None = None
-    integrity_providers: Mapping[str, str] | None = None
 
 
 @dataclass
@@ -136,111 +105,6 @@ class Recording:
     @property
     def event_count(self) -> int:
         return len(self.kinds)
-
-    # -- phase 2 -------------------------------------------------------
-
-    def replay_batch(self, requests: Sequence[ReplayRequest],
-                     ) -> list[BenchmarkEvents]:
-        """Phase 2, batched: price every request together from the
-        columns.
-
-        One recording often serves many configuration sets — a FLUSH
-        task and a TAG task, or several SNC geometry sweeps — and the
-        union of all requests' state machines is priced at once, one
-        walk per SNC geometry group
-        (:func:`repro.timing.batch.replay_events_batch`).
-        """
-        built = [self._build(request) for request in requests]
-        all_sims = [sim for sims, _models in built
-                    for sim in sims.values()]
-        all_models = [model for _sims, models in built
-                      for model in models.values()]
-        replay_events_batch(all_sims, all_models,
-                            self.kinds, self.lines, self.aux)
-        return [
-            self._assemble(request, sims, models)
-            for request, (sims, models) in zip(requests, built)
-        ]
-
-    def _build(self, request: ReplayRequest) -> tuple[dict, dict]:
-        """The state machines one request needs, validated against the
-        recording."""
-        if request.alt_l2 and self.read_misses_big_l2 is None:
-            raise ConfigurationError(
-                f"{self.name}: this recording carries no alternate-L2 "
-                "counts — re-record with include_alt_l2=True"
-            )
-        sims = _build_sims(dict(request.snc_configs),
-                           dict(request.snc_schemes)
-                           if request.snc_schemes else None,
-                           request.strategy)
-        models = _build_integrity_models(
-            dict(request.integrity_configs)
-            if request.integrity_configs else None,
-            dict(request.integrity_providers)
-            if request.integrity_providers else None,
-        )
-        if request.strategy is not None:
-            first_task = self.tasks[0].xom_id
-            for sim in sims.values():
-                sim.begin_task(first_task)
-        return sims, models
-
-    def _assemble(self, request: ReplayRequest, sims: dict,
-                  models: dict) -> BenchmarkEvents:
-        """One request's :class:`BenchmarkEvents` from its replayed
-        state machines plus the recorded aggregates: figure requests
-        calibrate compute from the one task's Figure 3 anchor, scenario
-        requests per task, summed."""
-        if request.strategy is None:
-            events = BenchmarkEvents(
-                self.name, self.tasks[0].xom_slowdown_pct
-            )
-            if request.alt_l2:
-                events.read_misses_big_l2 = self.read_misses_big_l2
-                events.allocate_misses_big_l2 = (
-                    self.allocate_misses_big_l2
-                )
-            else:
-                events.read_misses_big_l2 = None
-                events.allocate_misses_big_l2 = None
-            events.compute_cycles = calibrate_compute_cycles(
-                self.read_misses, self.tasks[0].xom_slowdown_pct
-            )
-        else:
-            events = BenchmarkEvents(self.name, 0.0)
-            events.read_misses_big_l2 = None
-            events.allocate_misses_big_l2 = None
-            tasks = self.tasks
-            task_read_misses = self.task_read_misses
-            compute = 0
-            for task in tasks:
-                misses = task_read_misses[task.xom_id]
-                if misses:
-                    compute += calibrate_compute_cycles(
-                        misses, task.xom_slowdown_pct
-                    )
-            events.compute_cycles = compute
-            if len(tasks) == 1:
-                events.xom_slowdown_target = tasks[0].xom_slowdown_pct
-            else:
-                events.xom_slowdown_target = sum(
-                    task.xom_slowdown_pct * task_read_misses[task.xom_id]
-                    for task in tasks
-                ) / self.read_misses
-            events.task_read_misses = {
-                f"{task.xom_id}:{task.label}":
-                    task_read_misses[task.xom_id]
-                for task in tasks
-            }
-        events.read_misses = self.read_misses
-        events.allocate_misses = self.allocate_misses
-        events.writebacks = self.writebacks
-        events.snc = {name: sim.counts for name, sim in sims.items()}
-        events.integrity = {
-            name: model.counts for name, model in models.items()
-        }
-        return events
 
 
 #: Block size of the block record pass: big enough to amortize the

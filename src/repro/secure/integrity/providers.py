@@ -105,7 +105,7 @@ class HashTreeIntegrity:
     """
 
     def __init__(self, base_addr: int, n_lines: int, line_bytes: int = 128,
-                 node_cache_entries: int = 0, memoize_paths: bool = True):
+                 node_cache_entries: int = 0):
         if not is_power_of_two(n_lines):
             raise ConfigurationError("hash tree needs a power-of-two leaves")
         if base_addr % line_bytes:
@@ -125,9 +125,7 @@ class HashTreeIntegrity:
         self._node_cache: dict[tuple[int, int], bytes] = {}
         # The leaf-address -> ancestor-index arithmetic is pure (only the
         # geometry determines it), so the verify hot loop memoizes each
-        # leaf's (index at level 0..depth-1) chain; the ablation bench
-        # measures the effect, and ``memoize_paths=False`` is its control.
-        self._memoize_paths = memoize_paths
+        # leaf's (index at level 0..depth-1) chain.
         self._paths: dict[int, tuple[int, ...]] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -169,20 +167,17 @@ class HashTreeIntegrity:
         """The leaf's ancestor index at every level, leaf first.
 
         ``path[level]`` is the node index on the leaf-to-root walk at
-        ``level``; the sibling is ``path[level] ^ 1``.  Memoized per leaf
-        (see ``memoize_paths``)."""
-        if self._memoize_paths:
-            path = self._paths.get(line_addr)
-            if path is not None:
-                return path
+        ``level``; the sibling is ``path[level] ^ 1``.  Memoized per
+        leaf."""
+        path = self._paths.get(line_addr)
+        if path is not None:
+            return path
         index = self._leaf_index(line_addr)
         chain = [index]
         for _ in range(self.depth):
             index //= 2
             chain.append(index)
-        path = tuple(chain)
-        if self._memoize_paths:
-            self._paths[line_addr] = path
+        path = self._paths[line_addr] = tuple(chain)
         return path
 
     # -- trusted node cache (the Gassend optimisation) ------------------------

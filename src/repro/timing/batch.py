@@ -139,8 +139,8 @@ def replay_events_batch(sims: Sequence[SNCTimingSim],
     :meth:`~repro.timing.model.SNCTimingSim.begin_task` called already
     (the caller owns flavor setup); this function only walks events.
 
-    Sims are priced once, fresh, as :meth:`~repro.eval.record.
-    Recording.replay_batch` builds them: walked lanes get their counts
+    Sims are priced once, fresh, as :func:`repro.eval.jobs.price_batch`
+    builds them: walked lanes get their counts
     and SNC stats but keep an empty SNC and spill table, and their first
     task scheduled.
     """

@@ -2,13 +2,13 @@
 
 Production splits a simulation in two: :func:`~repro.eval.record.
 record_source` runs the workload and the L2s block by block into event
-columns, and :meth:`~repro.eval.record.Recording.replay_batch` prices
-the columns through every configuration, most lanes by one shared walk
-per geometry group.  :func:`oracle` does the same job the slow, obvious way: one loop
-over the scalar reference stream (``source.stream(seed)``) that drives
-:meth:`~repro.memory.cache.TagOnlyCache.access` for the base L2 (and the
-Figure 8 alternate L2 when asked), tracks line owners for writebacks,
-and calls every :class:`~repro.timing.model.SNCTimingSim`'s
+columns, and :func:`~repro.eval.jobs.price_batch` prices the columns
+through every task's configurations, most lanes by one shared walk per
+geometry group.  :func:`oracle` does the same job the slow, obvious
+way: one loop over the scalar reference stream (``source.stream(seed)``)
+that drives :meth:`~repro.memory.cache.TagOnlyCache.access` for the
+base L2 (and the Figure 8 alternate L2 when asked), tracks line owners
+for writebacks, and calls every :class:`~repro.timing.model.SNCTimingSim`'s
 ``read_miss`` / ``writeback`` / ``switch_task`` / ``reset_counts`` and
 every integrity model's ``verify`` / ``update`` / ``reset_counts``
 directly, one event at a time.  It also emits the ``(kind, line, aux)``
@@ -20,8 +20,14 @@ pricing (every counter field).
 :func:`produce` is the production path with the same signature —
 record, ship through the wire form, batch-price — so a differential
 test calls both with identical arguments, and every other test that
-needs events for a source goes through it.  :func:`oracle_task` and
-:func:`produce_task` are the same pair for one scheduler task.
+needs events for a source goes through it.  Both take the pricing side
+as a :class:`~repro.eval.jobs.Task`'s pricing fields: ``snc`` (a
+tuple of :class:`~repro.eval.jobs.SNCSpec`), ``strategy`` (``None``,
+``"flush"`` or ``"tag"``), ``alt_l2`` and ``integrity`` (a tuple of
+:class:`~repro.eval.jobs.IntegrityModelSpec`); :func:`pricing_task`
+wraps them in the task :func:`~repro.eval.jobs.price_batch` takes.
+:func:`oracle_task` and :func:`produce_task` are the same pair for one
+scheduler task.
 
 ``python tests/eval/test_golden_master.py`` renders the golden tables
 through :func:`oracle_task`.
@@ -33,7 +39,12 @@ from array import array
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.eval.jobs import record_task_for, replay_request_for
+from repro.eval.jobs import (
+    SourceSpec,
+    Task,
+    price_batch,
+    standard_snc_specs,
+)
 from repro.eval.pipeline import (
     L2_BASE_ASSOC,
     L2_BASE_LINES,
@@ -41,9 +52,6 @@ from repro.eval.pipeline import (
     L2_BIG_LINES,
     BenchmarkEvents,
     SimulationScale,
-    _build_integrity_models,
-    _build_sims,
-    standard_snc_configs,
 )
 from repro.eval.record import (
     AUX_TYPECODE,
@@ -51,7 +59,6 @@ from repro.eval.record import (
     LINE_TYPECODE,
     RecordedTask,
     Recording,
-    ReplayRequest,
     record_source,
 )
 from repro.eval.scheduler import run_tasks
@@ -78,23 +85,25 @@ class OracleRun:
     recording: Recording
 
 
-def oracle(source, scale=None, seed=1, *, snc_configs=None,
-           snc_schemes=None, strategy=None, alt_l2=False,
-           integrity_configs=None, integrity_providers=None,
-           l2_lines=L2_BASE_LINES, l2_assoc=L2_BASE_ASSOC) -> OracleRun:
+def _standard_snc():
+    return tuple(standard_snc_specs().values())
+
+
+def oracle(source, scale=None, seed=1, *, snc=None, strategy=None,
+           alt_l2=False, integrity=(), l2_lines=L2_BASE_LINES,
+           l2_assoc=L2_BASE_ASSOC) -> OracleRun:
     """Simulate ``source`` one reference at a time.
 
-    ``snc_configs=None`` means the five standard configurations.
+    ``snc=None`` means the five standard configurations.
     ``strategy=None`` is a figure task (the one task's calibration, the
-    alternate-L2 counts when ``alt_l2``); a
-    :class:`~repro.secure.snc_policy.SwitchStrategy` is a §4.3 scenario
-    task (per-task cores and per-task calibration, summed)."""
+    alternate-L2 counts when ``alt_l2``); ``"flush"`` or ``"tag"`` is a
+    §4.3 scenario task (per-task cores and per-task calibration,
+    summed)."""
     scale = scale or SimulationScale()
-    if snc_configs is None:
-        snc_configs = standard_snc_configs()
-    sim_by_key = _build_sims(snc_configs, snc_schemes, strategy)
-    model_by_key = _build_integrity_models(integrity_configs,
-                                           integrity_providers)
+    if snc is None:
+        snc = _standard_snc()
+    sim_by_key = {spec.key: spec.build_sim(strategy) for spec in snc}
+    model_by_key = {spec.key: spec.build_model() for spec in integrity}
     sims = list(sim_by_key.values())
     models = list(model_by_key.values())
     tasks = source.tasks
@@ -214,39 +223,44 @@ def oracle(source, scale=None, seed=1, *, snc_configs=None,
     return OracleRun(events, recording)
 
 
-def produce(source, scale=None, seed=1, *, snc_configs=None,
-            snc_schemes=None, strategy=None, alt_l2=False,
-            integrity_configs=None, integrity_providers=None,
-            l2_lines=L2_BASE_LINES, l2_assoc=L2_BASE_ASSOC,
-            ) -> BenchmarkEvents:
+#: The source :func:`pricing_task` names.  :func:`~repro.eval.jobs.
+#: price_batch` reads only a task's pricing fields, so a recording of any
+#: source — a test-only one, or one under a non-paper L2 — prices under
+#: a task over this placeholder.
+PRICING_SOURCE = SourceSpec.benchmark("gzip")
+
+
+def pricing_task(snc=None, strategy=None, *, alt_l2=False,
+                 integrity=()) -> Task:
+    """The task :func:`~repro.eval.jobs.price_batch` prices ``snc``,
+    ``strategy``, ``alt_l2`` and ``integrity`` under (as in
+    :func:`oracle`)."""
+    return Task(source=PRICING_SOURCE,
+                snc_configs=_standard_snc() if snc is None else tuple(snc),
+                scale=SimulationScale(), strategy=strategy, alt_l2=alt_l2,
+                integrity=tuple(integrity))
+
+
+def produce(source, scale=None, seed=1, *, snc=None, strategy=None,
+            alt_l2=False, integrity=(), l2_lines=L2_BASE_LINES,
+            l2_assoc=L2_BASE_ASSOC) -> BenchmarkEvents:
     """The production path for the same arguments as :func:`oracle`:
     block-record, round-trip the wire form a pool worker or a warm
     store would see, batch-price."""
-    if snc_configs is None:
-        snc_configs = standard_snc_configs()
     recording = recording_from_bytes(recording_to_bytes(record_source(
         source, scale=scale, seed=seed, include_alt_l2=alt_l2,
         l2_lines=l2_lines, l2_assoc=l2_assoc,
     )))
-    return recording.replay_batch([ReplayRequest(
-        snc_configs=snc_configs, snc_schemes=snc_schemes,
-        strategy=strategy, alt_l2=alt_l2,
-        integrity_configs=integrity_configs,
-        integrity_providers=integrity_providers,
-    )])[0]
+    task = pricing_task(snc, strategy, alt_l2=alt_l2, integrity=integrity)
+    return price_batch([task], recording)[0]
 
 
 def oracle_task(task) -> BenchmarkEvents:
     """A scheduler task's events, computed by :func:`oracle`."""
-    request = replay_request_for(task)
     return oracle(
-        record_task_for(task).source.build(), task.scale, task.seed,
-        snc_configs=dict(request.snc_configs),
-        snc_schemes=dict(request.snc_schemes),
-        strategy=request.strategy,
-        alt_l2=request.alt_l2,
-        integrity_configs=dict(request.integrity_configs),
-        integrity_providers=dict(request.integrity_providers),
+        task.source.build(), task.scale, task.seed,
+        snc=task.snc_configs, strategy=task.strategy, alt_l2=task.alt_l2,
+        integrity=task.integrity,
     ).events
 
 

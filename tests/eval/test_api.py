@@ -85,6 +85,7 @@ RETIRED = (
     "ExperimentJob", "ScenarioJob", "merge_scenario_jobs", "AnyTask",
     "run_scenario_tasks", "run_everything", "run_integrity_sweep",
     "index_scenario_results",
+    "ReplayRequest", "replay_request_for", "replay_batch", "_build_sims",
 )
 
 

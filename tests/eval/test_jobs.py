@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -27,6 +28,8 @@ from repro.eval.jobs import (
     merge_jobs,
     record_task_for,
     standard_snc_specs,
+    task_from_wire,
+    task_to_wire,
 )
 from repro.eval.pipeline import SimulationScale, standard_snc_configs
 from repro.secure.snc import SNCPolicy
@@ -165,6 +168,19 @@ class TestTask:
         with pytest.raises(ValueError, match="nosuchstrategy"):
             ScenarioTask(source=self._MIX, snc_configs=(),
                          strategy="nosuchstrategy", scale=_SCALE)
+
+    def test_rejects_a_scheme_without_a_timing_sim(self):
+        # xom prices from miss counts alone: an SNC spec naming it has
+        # nothing to simulate, so the task is refused before any pass.
+        spec = SNCSpec(key="xom64", scheme="xom")
+        with pytest.raises(ConfigurationError, match="'xom'"):
+            SimulationTask(workload="art", snc_configs=(spec,),
+                           scale=_SCALE)
+        wire = task_to_wire(SimulationTask(workload="art", snc_configs=(),
+                                           scale=_SCALE))
+        wire["snc"] = [asdict(spec)]
+        with pytest.raises(ConfigurationError, match="'xom'"):
+            task_from_wire(wire)
 
     def test_scenario_constructor_needs_a_strategy(self):
         with pytest.raises(ConfigurationError, match="strategy"):

@@ -52,7 +52,7 @@ BLOCK_SIZES = (1, 911, 4096)
 def record_reference(source, scale, seed=1, include_alt_l2=True,
                      **l2) -> Recording:
     """The oracle's recording, with no state machines to drive."""
-    return oracle(source, scale, seed, snc_configs={},
+    return oracle(source, scale, seed, snc=(),
                   alt_l2=include_alt_l2, **l2).recording
 
 

@@ -2,7 +2,8 @@
 
 Production records each source block by block, ships the recording
 through the wire form (:mod:`repro.eval.trace_store`) and batch-prices
-it event-major (:meth:`~repro.eval.record.Recording.replay_batch`);
+it event-major (:func:`~repro.eval.jobs.price_batch`, one
+:class:`~repro.eval.jobs.Task` per configuration set);
 :func:`oracle.oracle` drives the L2 and every state machine one
 reference at a time.  The two must be *count-exact*.  These tests pin
 that with randomized configurations: benchmarks, trace scales, L2
@@ -21,16 +22,20 @@ from itertools import cycle
 
 import pytest
 
-from oracle import oracle
+from oracle import oracle, pricing_task
 
 import repro.timing.batch as batch
 from repro.errors import ConfigurationError
-from repro.eval.pipeline import SimulationScale, standard_snc_configs
-from repro.eval.record import ReplayRequest, record_source
+from repro.eval.jobs import (
+    IntegrityModelSpec,
+    SNCSpec,
+    price_batch,
+    standard_snc_specs,
+)
+from repro.eval.pipeline import SimulationScale
+from repro.eval.record import record_source
 from repro.eval.trace_store import recording_from_bytes, recording_to_bytes
-from repro.secure.integrity import IntegrityConfig
-from repro.secure.snc import SNCConfig, SNCPolicy
-from repro.secure.snc_policy import SwitchStrategy
+from repro.secure.snc import SNCPolicy
 from repro.workloads.sources import (
     TASK_LINE_STRIDE,
     MultiTaskInterleaver,
@@ -48,56 +53,49 @@ SCALES = (
     SimulationScale(warmup_refs=7_000, measure_refs=5_000),
 )
 
+NOREPL = SNCPolicy.NO_REPLACEMENT.value
+
 #: SNC configuration pool: every policy/geometry/scheme axis the
 #: evaluation exercises, small enough that capacity effects trigger.
 SNC_POOL = (
-    ("lru_small", SNCConfig(size_bytes=8 * 1024), "otp"),
-    ("norepl", SNCConfig(size_bytes=8 * 1024,
-                         policy=SNCPolicy.NO_REPLACEMENT), "otp"),
-    ("lru_assoc", SNCConfig(size_bytes=16 * 1024, assoc=32), "otp"),
-    ("split", SNCConfig(size_bytes=8 * 1024), "otp_split"),
-    ("split_assoc", SNCConfig(size_bytes=16 * 1024, assoc=16),
-     "otp_split"),
+    SNCSpec("lru_small", size_bytes=8 * 1024),
+    SNCSpec("norepl", size_bytes=8 * 1024, policy=NOREPL),
+    SNCSpec("lru_assoc", size_bytes=16 * 1024, assoc=32),
+    SNCSpec("split", size_bytes=8 * 1024, scheme="otp_split"),
+    SNCSpec("split_assoc", size_bytes=16 * 1024, assoc=16,
+            scheme="otp_split"),
     # LRU geometries the stack-distance tier groups: two lanes sharing
     # a set count (1024), more fully associative capacities, a 64-way
     # lane and a capacity beyond any recording's distinct lines here.
-    ("lru_16k_8way", SNCConfig(size_bytes=16 * 1024, assoc=8), "otp"),
-    ("lru_64k_32way", SNCConfig(size_bytes=64 * 1024, assoc=32), "otp"),
-    ("lru_4k", SNCConfig(size_bytes=4 * 1024), "otp"),
-    ("lru_32k", SNCConfig(size_bytes=32 * 1024), "otp"),
-    ("lru_64way", SNCConfig(size_bytes=16 * 1024, assoc=64), "otp"),
-    ("lru_256k", SNCConfig(size_bytes=256 * 1024), "otp"),
+    SNCSpec("lru_16k_8way", size_bytes=16 * 1024, assoc=8),
+    SNCSpec("lru_64k_32way", size_bytes=64 * 1024, assoc=32),
+    SNCSpec("lru_4k", size_bytes=4 * 1024),
+    SNCSpec("lru_32k", size_bytes=32 * 1024),
+    SNCSpec("lru_64way", size_bytes=16 * 1024, assoc=64),
+    SNCSpec("lru_256k", size_bytes=256 * 1024),
 )
+POOL_BY_KEY = {spec.key: spec for spec in SNC_POOL}
 
 #: The pool's plain LRU lanes: everything the stack-distance tier takes.
 TIER_KEYS = ("lru_small", "lru_assoc", "lru_16k_8way", "lru_64k_32way",
              "lru_4k", "lru_32k", "lru_64way", "lru_256k")
 
 INTEGRITY_POOL = (
-    ("mac", "mac", 0),
-    ("tree", "hash_tree", 0),
-    ("tree_nc", "hash_tree_cached", 128),
+    IntegrityModelSpec("mac", "mac"),
+    IntegrityModelSpec("tree", "hash_tree"),
+    IntegrityModelSpec("tree_nc", "hash_tree_cached",
+                       node_cache_entries=128),
 )
 
 
-def _draw_snc(rng: random.Random):
-    picks = rng.sample(SNC_POOL, rng.randint(1, 3))
-    configs = {key: config for key, config, _scheme in picks}
-    schemes = {key: scheme for key, _config, scheme in picks}
-    return configs, schemes
+def _draw_snc(rng: random.Random) -> tuple[SNCSpec, ...]:
+    return tuple(rng.sample(SNC_POOL, rng.randint(1, 3)))
 
 
-def _draw_integrity(rng: random.Random):
+def _draw_integrity(rng: random.Random) -> tuple[IntegrityModelSpec, ...]:
     if rng.random() < 0.5:
-        return None, None
-    picks = rng.sample(INTEGRITY_POOL, rng.randint(1, 2))
-    configs = {
-        key: IntegrityConfig(base_addr=0, n_lines=1 << 19,
-                             node_cache_entries=entries)
-        for key, _provider, entries in picks
-    }
-    providers = {key: provider for key, provider, _entries in picks}
-    return configs, providers
+        return ()
+    return tuple(rng.sample(INTEGRITY_POOL, rng.randint(1, 2)))
 
 
 def assert_events_identical(expected, priced):
@@ -163,8 +161,8 @@ def test_benchmark_differential(case, walked):
         bench = BY_NAME[rng.choice(sorted(BY_NAME))]
         scale = rng.choice(SCALES)
         l2_lines, l2_assoc = rng.choice(L2_GEOMETRIES)
-        snc_configs, snc_schemes = _draw_snc(rng)
-        integrity_configs, integrity_providers = _draw_integrity(rng)
+        snc = _draw_snc(rng)
+        integrity = _draw_integrity(rng)
         alt_l2 = rng.random() < 0.5
         seed = rng.randint(1, 99)
         try:
@@ -179,21 +177,15 @@ def test_benchmark_differential(case, walked):
     assert recording is not None, "no valid draw in 20 attempts"
 
     expected = oracle(
-        SingleBenchmark(bench), scale=scale, seed=seed,
-        snc_configs=snc_configs, snc_schemes=snc_schemes, alt_l2=alt_l2,
-        integrity_configs=integrity_configs,
-        integrity_providers=integrity_providers,
+        SingleBenchmark(bench), scale=scale, seed=seed, snc=snc,
+        alt_l2=alt_l2, integrity=integrity,
         l2_lines=l2_lines, l2_assoc=l2_assoc,
     ).events
-    batched = recording.replay_batch([ReplayRequest(
-        snc_configs=snc_configs, snc_schemes=snc_schemes,
-        alt_l2=alt_l2, integrity_configs=integrity_configs,
-        integrity_providers=integrity_providers,
-    )])[0]
+    [batched] = price_batch(
+        [pricing_task(snc, alt_l2=alt_l2, integrity=integrity)], recording)
     assert_events_identical(expected, batched)
-    assert len(walked["ranks"]) == sum(
-        config.policy is SNCPolicy.NO_REPLACEMENT
-        for config in snc_configs.values())
+    assert len(walked["ranks"]) == sum(spec.policy == NOREPL
+                                       for spec in snc)
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -209,11 +201,10 @@ def test_scenario_differential(case):
         scale = rng.choice(SCALES)
         l2_lines, l2_assoc = rng.choice(L2_GEOMETRIES)
         # FLUSH spills through the in-memory table, which only LRU keeps.
-        snc_configs, snc_schemes = _draw_snc(rng)
-        while any(config.policy is SNCPolicy.NO_REPLACEMENT
-                  for config in snc_configs.values()):
-            snc_configs, snc_schemes = _draw_snc(rng)
-        integrity_configs, integrity_providers = _draw_integrity(rng)
+        snc = _draw_snc(rng)
+        while any(spec.policy == NOREPL for spec in snc):
+            snc = _draw_snc(rng)
+        integrity = _draw_integrity(rng)
         seed = rng.randint(1, 99)
         try:
             recording = _round_trip(record_source(
@@ -225,24 +216,17 @@ def test_scenario_differential(case):
         except ConfigurationError:
             continue
     assert recording is not None, "no valid draw in 20 attempts"
-    strategies = (SwitchStrategy.FLUSH, SwitchStrategy.TAG)
+    strategies = ("flush", "tag")
     # Both strategies priced in ONE batch pass: the hardest sharing case
-    # (same recording, different switch semantics per request).
-    batched = recording.replay_batch([
-        ReplayRequest(
-            snc_configs=snc_configs, snc_schemes=snc_schemes,
-            strategy=strategy, integrity_configs=integrity_configs,
-            integrity_providers=integrity_providers,
-        )
+    # (same recording, different switch semantics per task).
+    batched = price_batch([
+        pricing_task(snc, strategy, integrity=integrity)
         for strategy in strategies
-    ])
+    ], recording)
     for strategy, batch_events in zip(strategies, batched):
         expected = oracle(
             MultiTaskInterleaver(names, quantum), scale=scale, seed=seed,
-            snc_configs=snc_configs, snc_schemes=snc_schemes,
-            strategy=strategy,
-            integrity_configs=integrity_configs,
-            integrity_providers=integrity_providers,
+            snc=snc, strategy=strategy, integrity=integrity,
             l2_lines=l2_lines, l2_assoc=l2_assoc,
         ).events
         assert_events_identical(expected, batch_events)
@@ -250,21 +234,19 @@ def test_scenario_differential(case):
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_every_tier_geometry_in_one_request(scale):
-    """All of the tier's LRU geometries priced in one request — four
+    """All of the tier's LRU geometries priced in one task — four
     fully associative capacities share one stack, 16KB/8-way and
     64KB/32-way share a set count — with and without a warmup
     boundary."""
-    pool = {key: config for key, config, _scheme in SNC_POOL}
-    configs = {key: pool[key] for key in TIER_KEYS}
+    snc = tuple(POOL_BY_KEY[key] for key in TIER_KEYS)
     expected = oracle(SingleBenchmark(BY_NAME["gzip"]), scale=scale,
-                      snc_configs=configs).events
+                      snc=snc).events
     recording = _round_trip(record_source(
         SingleBenchmark(BY_NAME["gzip"]), scale=scale, include_alt_l2=False,
     ))
-    assert len(set(recording.lines)) < pool["lru_256k"].n_entries
-    batched = recording.replay_batch([ReplayRequest(
-        snc_configs=configs,
-    )])[0]
+    assert (len(set(recording.lines))
+            < POOL_BY_KEY["lru_256k"].to_config().n_entries)
+    [batched] = price_batch([pricing_task(snc)], recording)
     assert_events_identical(expected, batched)
     assert batched.snc["lru_4k"].table_spills > 0
     assert batched.snc["lru_256k"].table_spills == 0
@@ -275,16 +257,13 @@ def test_single_task_scenario_matches_benchmark_recording():
     figure path records, so one recording per benchmark serves both
     task kinds."""
     scale = SimulationScale(warmup_refs=5_000, measure_refs=10_000)
-    configs = {"lru64": standard_snc_configs()["lru64"]}
+    snc = (standard_snc_specs()["lru64"],)
     recording = _round_trip(record_source(
         SingleBenchmark(BY_NAME["art"]), scale=scale,
     ))
     expected = oracle(SingleBenchmark(BY_NAME["art"]), scale=scale,
-                      snc_configs=configs,
-                      strategy=SwitchStrategy.TAG).events
-    batched = recording.replay_batch([ReplayRequest(
-        snc_configs=configs, strategy=SwitchStrategy.TAG,
-    )])[0]
+                      snc=snc, strategy="tag").events
+    [batched] = price_batch([pricing_task(snc, "tag")], recording)
     assert_events_identical(expected, batched)
 
 
@@ -297,9 +276,7 @@ def test_standard_configs_full_axis():
     recording = _round_trip(record_source(
         SingleBenchmark(BY_NAME["mcf"]), scale=scale,
     ))
-    batched = recording.replay_batch([ReplayRequest(
-        snc_configs=standard_snc_configs(), alt_l2=True,
-    )])[0]
+    [batched] = price_batch([pricing_task(alt_l2=True)], recording)
     assert_events_identical(expected, batched)
 
 
@@ -346,26 +323,23 @@ SWITCH_STREAMS = {
 #: share a set count); the 2KB lanes fill inside a quantum.  Few sets
 #: each: every FLUSH switch visits each occupied set on the per-event
 #: paths.
-SWITCH_SNCS = {
-    "lru2k": (SNCConfig(size_bytes=2 * 1024), "otp"),
-    "split2k": (SNCConfig(size_bytes=2 * 1024), "otp_split"),
-    "lru8k": (SNCConfig(size_bytes=8 * 1024), "otp"),
-    "split4k_32way": (SNCConfig(size_bytes=4 * 1024, assoc=32),
-                      "otp_split"),
-    "lru8k_64way": (SNCConfig(size_bytes=8 * 1024, assoc=64), "otp"),
-}
+SWITCH_SNCS = (
+    SNCSpec("lru2k", size_bytes=2 * 1024),
+    SNCSpec("split2k", size_bytes=2 * 1024, scheme="otp_split"),
+    SNCSpec("lru8k", size_bytes=8 * 1024),
+    SNCSpec("split4k_32way", size_bytes=4 * 1024, assoc=32,
+            scheme="otp_split"),
+    SNCSpec("lru8k_64way", size_bytes=8 * 1024, assoc=64),
+)
 
 #: No-replacement lanes, which only TAG can switch: two fully
 #: associative capacities and a split-counter lane share one walk.
-TAG_SNCS = {
-    "norepl2k": (SNCConfig(size_bytes=2 * 1024,
-                           policy=SNCPolicy.NO_REPLACEMENT), "otp"),
-    "norepl8k": (SNCConfig(size_bytes=8 * 1024,
-                           policy=SNCPolicy.NO_REPLACEMENT), "otp"),
-    "split_norepl4k_32way": (SNCConfig(size_bytes=4 * 1024, assoc=32,
-                                       policy=SNCPolicy.NO_REPLACEMENT),
-                             "otp_split"),
-}
+TAG_SNCS = (
+    SNCSpec("norepl2k", size_bytes=2 * 1024, policy=NOREPL),
+    SNCSpec("norepl8k", size_bytes=8 * 1024, policy=NOREPL),
+    SNCSpec("split_norepl4k_32way", size_bytes=4 * 1024, assoc=32,
+            policy=NOREPL, scheme="otp_split"),
+)
 
 
 @pytest.mark.parametrize("name", sorted(SWITCH_STREAMS))
@@ -374,34 +348,23 @@ def test_switch_stream_tier_differential(name, walked, monkeypatch):
     otp and otp_split: the oracle, the walks and the per-event loop all
     count alike, and the walks take every lane."""
     source, scale = SWITCH_STREAMS[name]
-    lanes = {
-        SwitchStrategy.FLUSH: SWITCH_SNCS,
-        SwitchStrategy.TAG: {**SWITCH_SNCS, **TAG_SNCS},
-    }
+    tasks = [pricing_task(SWITCH_SNCS, "flush"),
+             pricing_task(SWITCH_SNCS + TAG_SNCS, "tag")]
     recording = _round_trip(record_source(source, scale=scale,
                                           include_alt_l2=False))
-    requests = [
-        ReplayRequest(
-            snc_configs={key: config for key, (config, _) in snccs.items()},
-            snc_schemes={key: scheme for key, (_, scheme) in snccs.items()},
-            strategy=strategy)
-        for strategy, snccs in lanes.items()
-    ]
-    walks = recording.replay_batch(requests)
-    assert len(walked["stack"]) == len(lanes) * len(SWITCH_SNCS)
+    walks = price_batch(tasks, recording)
+    assert len(walked["stack"]) == len(tasks) * len(SWITCH_SNCS)
     assert len(walked["ranks"]) == len(TAG_SNCS)
     monkeypatch.setattr(batch, "_lane_walks",
                         lambda sims, *_args: [None] * len(sims))
-    per_event = recording.replay_batch(requests)
-    for request, walk_events, per_event_events in zip(requests, walks,
-                                                      per_event):
-        expected = oracle(source, scale=scale,
-                          snc_configs=request.snc_configs,
-                          snc_schemes=request.snc_schemes,
-                          strategy=request.strategy).events
+    per_event = price_batch(tasks, recording)
+    for task, walk_events, per_event_events in zip(tasks, walks,
+                                                   per_event):
+        expected = oracle(source, scale=scale, snc=task.snc_configs,
+                          strategy=task.strategy).events
         assert_events_identical(expected, walk_events)
         assert_events_identical(expected, per_event_events)
-        flush = request.strategy is SwitchStrategy.FLUSH
+        flush = task.strategy == "flush"
         for counts in expected.snc.values():
             assert counts.switches > 0
             assert (counts.switch_spills > 0) == flush

@@ -16,7 +16,11 @@ from repro.eval.cache import (
     events_from_dict,
     events_to_dict,
 )
-from repro.eval.jobs import SimulationTask, standard_snc_specs
+from repro.eval.jobs import (
+    SimulationTask,
+    price_batch,
+    standard_snc_specs,
+)
 from repro.eval.pipeline import SimulationScale
 
 _SCALE = SimulationScale(warmup_refs=5_000, measure_refs=10_000)
@@ -91,6 +95,17 @@ class TestInvalidation:
                    if path.stem != "__init__"}
         assert modules >= {"repro.timing.batch", "repro.timing.stack"}
         assert modules <= set(_fingerprint_module_names())
+
+    def test_result_fingerprint_covers_the_pricing_call(self):
+        # price_batch builds each task's state machines and assembles
+        # its events, so an edit there must miss the result cache; it
+        # stays out of the trace store's key, which only the record
+        # pass decides.
+        from repro.eval import trace_store
+
+        module = price_batch.__module__
+        assert module in _fingerprint_module_names()
+        assert module not in trace_store._FINGERPRINT_MODULES
 
     def test_fingerprint_is_stable_hex(self):
         first = code_fingerprint()

@@ -17,7 +17,13 @@ from repro.eval.experiments import (
     scenario_slowdowns,
     scheme_config_key,
 )
-from repro.eval.jobs import Job, SourceSpec, merge_jobs
+from repro.eval.jobs import (
+    Job,
+    SNCSpec,
+    SourceSpec,
+    merge_jobs,
+    standard_snc_specs,
+)
 from repro.eval.pipeline import SimulationScale, standard_snc_configs
 from repro.eval.scheduler import run_jobs, run_tasks
 from repro.secure.snc_policy import SwitchStrategy
@@ -28,14 +34,11 @@ SCALE = SimulationScale(warmup_refs=20_000, measure_refs=30_000)
 
 
 def mix_events(strategy, workloads=("art", "vpr"), quantum=1000,
-               snc_configs=None, schemes=None):
+               snc=None):
     return produce(
         MultiTaskInterleaver(workloads, quantum=quantum),
         scale=SCALE,
-        snc_configs=snc_configs or {
-            "lru64": standard_snc_configs()["lru64"]
-        },
-        snc_schemes=schemes,
+        snc=snc or (standard_snc_specs()["lru64"],),
         strategy=strategy,
     )
 
@@ -48,15 +51,14 @@ class TestSingleTaskParity:
         TAG runs the full five standard configurations; FLUSH runs the
         LRU ones (flushing needs the spill table, so it rejects
         no-replacement configs up front)."""
-        all_configs = standard_snc_configs()
-        lru_only = {key: config for key, config in all_configs.items()
-                    if key != "norepl64"}
-        for strategy, configs in ((SwitchStrategy.TAG, all_configs),
-                                  (SwitchStrategy.FLUSH, lru_only)):
+        all_specs = tuple(standard_snc_specs().values())
+        lru_only = tuple(spec for spec in all_specs
+                         if spec.key != "norepl64")
+        for strategy, specs in (("tag", all_specs), ("flush", lru_only)):
             bench = produce(SingleBenchmark("art"), scale=SCALE,
-                            snc_configs=configs)
+                            snc=specs)
             scenario = produce(SingleBenchmark("art"), scale=SCALE,
-                               snc_configs=configs, strategy=strategy)
+                               snc=specs, strategy=strategy)
             expected = asdict(bench)
             got = asdict(scenario)
             assert got.pop("task_read_misses") == {
@@ -68,10 +70,10 @@ class TestSingleTaskParity:
     def test_one_task_interleave_equals_single_benchmark(self):
         via_interleaver = produce(
             MultiTaskInterleaver(["art"], quantum=500), scale=SCALE,
-            strategy=SwitchStrategy.TAG,
+            strategy="tag",
         )
         direct = produce(SingleBenchmark("art"), scale=SCALE,
-                         strategy=SwitchStrategy.TAG)
+                         strategy="tag")
         left, right = asdict(via_interleaver), asdict(direct)
         assert left.pop("name") == "mix(art)@q500"
         assert right.pop("name") == "art"
@@ -80,7 +82,7 @@ class TestSingleTaskParity:
 
 class TestStrategyInvariants:
     def test_tag_never_spills_at_switch_time(self):
-        events = mix_events(SwitchStrategy.TAG)
+        events = mix_events("tag")
         counts = events.snc["lru64"]
         assert counts.switches > 0
         assert counts.switch_spills == 0
@@ -113,8 +115,8 @@ class TestStrategyInvariants:
         assert sim.counts.switch_spills > 0
 
     def test_flush_costs_more_than_tag_when_working_sets_fit(self):
-        flush = mix_events(SwitchStrategy.FLUSH)
-        tag = mix_events(SwitchStrategy.TAG)
+        flush = mix_events("flush")
+        tag = mix_events("tag")
         # Identical workload view: the strategies see the same misses.
         assert flush.read_misses == tag.read_misses
         assert flush.task_read_misses == tag.task_read_misses
@@ -179,17 +181,13 @@ class TestStrategyInvariants:
         """otp and otp_split both simulate and price the same mix —
         the acceptance criterion's two-scheme end-to-end run."""
         base_config = standard_snc_configs()["lru64"]
-        configs = {
-            scheme_config_key(scheme): base_config
+        specs = tuple(
+            SNCSpec.from_config(scheme_config_key(scheme), base_config,
+                                scheme)
             for scheme in SCENARIO_SCHEMES
-        }
-        schemes = {
-            scheme_config_key(scheme): scheme
-            for scheme in SCENARIO_SCHEMES
-        }
+        )
         for strategy in SwitchStrategy:
-            events = mix_events(strategy, snc_configs=configs,
-                                schemes=schemes)
+            events = mix_events(strategy.value, snc=specs)
             slowdowns = scenario_slowdowns(events)
             assert set(slowdowns) == set(SCENARIO_SCHEMES)
             for value in slowdowns.values():

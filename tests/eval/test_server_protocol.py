@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
+from dataclasses import asdict
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.eval.client import PROTOCOL_VERSION, EvalClient, ServerError
 from repro.eval.jobs import SNCSpec, SimulationTask, task_to_wire
 from repro.eval.pipeline import SimulationScale
 from repro.eval.server import start_server_thread
+from repro.eval.trace_store import TraceStore
 
 #: Tiny but non-degenerate: the valid-submit-after-error tests execute
 #: this for real, so it must clear the workload's initialization phase
@@ -182,6 +184,40 @@ class TestRequestErrors:
                        for frame in frames)
         finally:
             sock.close()
+
+    def test_scheme_without_timing_sim_is_a_bad_task(self, tmp_path):
+        """A scheme with no SNC state machine (``xom``) is refused at
+        submit: one ``bad-task`` frame, no record pass for it or for
+        the valid task it shares the submit with, and the connection
+        then runs a valid task."""
+        store = TraceStore(tmp_path)
+        bad = task_to_wire(TINY_TASK)
+        bad["snc"] = [asdict(SNCSpec(key="xom64", scheme="xom"))]
+        with start_server_thread(n_jobs=1, trace_store=store) as handle:
+            sock, stream = raw_connection(handle)
+            try:
+                reply = roundtrip(sock, stream, {
+                    "type": "submit", "id": "r1",
+                    "tasks": [task_to_wire(TINY_TASK), bad],
+                })
+                assert (reply["type"], reply["code"], reply["id"]) == (
+                    "error", "bad-task", "r1")
+                assert "'xom'" in reply["error"]
+                assert store.records == 0
+                assert handle.server.stats.tasks_executed == 0
+                send_line(sock, json.dumps({
+                    "type": "submit", "id": "r2",
+                    "tasks": [task_to_wire(TINY_TASK)],
+                }).encode())
+                frame = recv_frame(stream)
+                while frame["type"] == "progress":
+                    assert frame["id"] == "r2"
+                    frame = recv_frame(stream)
+                assert (frame["type"], frame["id"]) == ("result", "r2")
+                assert len(frame["results"]) == 1
+                assert store.records == 1
+            finally:
+                sock.close()
 
     def test_error_frames_are_counted(self, daemon):
         with EvalClient(daemon.address) as client:

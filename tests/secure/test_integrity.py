@@ -108,6 +108,15 @@ class TestHashTreeIntegrity:
         with pytest.raises(ConfigurationError):
             self.make().verify_line(16 * 128, _LINE_A)
 
+    def test_leaf_path_halves_to_the_root(self):
+        """A leaf's ancestor chain, leaf first, computed once per leaf."""
+        tree = HashTreeIntegrity(base_addr=1024, n_lines=16)
+        path = tree._path(1024 + 5 * 128)
+        assert path == (5, 2, 1, 0, 0)
+        assert tree._path(1024 + 5 * 128) is path
+        with pytest.raises(ConfigurationError):
+            tree._path(0)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigurationError):
             HashTreeIntegrity(base_addr=0, n_lines=12)

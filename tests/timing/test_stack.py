@@ -10,7 +10,7 @@ synthetic single-task columns, and both walks with the per-event
 FLUSH and TAG switch streams; the routing tests pin which lanes
 :func:`~repro.timing.batch.replay_events_batch` walks (split-counter
 lanes only while no counter overflows) and which take the per-event
-loop, and that a request mixing them comes back whole and in order.
+loop, and that a task mixing them comes back whole and in order.
 """
 
 from __future__ import annotations
@@ -29,14 +29,9 @@ from repro.eval.jobs import (
     SimulationTask,
     SNCSpec,
     price_batch,
-    replay_request_for,
     task_lanes,
 )
-from repro.eval.pipeline import (
-    SimulationScale,
-    _build_integrity_models,
-    _build_sims,
-)
+from repro.eval.pipeline import SimulationScale
 from repro.eval.record import record_source
 from repro.secure.integrity.__main__ import replay_per_event
 from repro.secure.schemes.otp_split import SplitSequenceCore
@@ -425,6 +420,11 @@ def scenario():
                          scale=_SCALE, include_alt_l2=False)
 
 
+def _sims(specs, strategy=None) -> dict:
+    """Fresh timing sims for ``specs``, by key."""
+    return {spec.key: spec.build_sim(strategy) for spec in specs}
+
+
 def _price(sims, recording, aux=None) -> dict:
     """Batch-price ``sims`` over the recording's columns (``aux``
     replaced when given); their counts and SNC stats by key."""
@@ -435,27 +435,26 @@ def _price(sims, recording, aux=None) -> dict:
             for key, sim in sims.items()}
 
 
-_SWITCH_CONFIGS = {"lru8k": SNCConfig(size_bytes=8 * 1024),
-                   "split8k_16way": SNCConfig(size_bytes=8 * 1024,
-                                              assoc=16)}
-_SWITCH_SCHEMES = {"lru8k": "otp", "split8k_16way": "otp_split"}
+_NOREPL = SNCPolicy.NO_REPLACEMENT.value
+_SWITCH_SPECS = (SNCSpec("lru8k", size_bytes=8 * 1024),
+                 SNCSpec("split8k_16way", size_bytes=8 * 1024, assoc=16,
+                         scheme="otp_split"))
 #: No-replacement lanes, which only TAG can switch.
-_TAG_CONFIGS = {
-    "norepl2k": SNCConfig(size_bytes=2 * 1024,
-                          policy=SNCPolicy.NO_REPLACEMENT),
-    "norepl4k_32way": SNCConfig(size_bytes=4 * 1024, assoc=32,
-                                policy=SNCPolicy.NO_REPLACEMENT),
-}
+_TAG_SPECS = (
+    SNCSpec("norepl2k", size_bytes=2 * 1024, policy=_NOREPL),
+    SNCSpec("norepl4k_32way", size_bytes=4 * 1024, assoc=32,
+            policy=_NOREPL),
+)
 
 
 @pytest.mark.parametrize("strategy", list(SwitchStrategy))
 def test_switch_stream_lanes_take_a_walk(scenario, walk_calls,
                                          monkeypatch, strategy):
     tag = strategy is SwitchStrategy.TAG
-    configs = {**_SWITCH_CONFIGS, **(_TAG_CONFIGS if tag else {})}
+    specs = _SWITCH_SPECS + (_TAG_SPECS if tag else ())
 
     def price():
-        sims = _build_sims(configs, _SWITCH_SCHEMES, strategy)
+        sims = _sims(specs, strategy.value)
         for sim in sims.values():
             sim.begin_task(scenario.tasks[0].xom_id)
         return _price(sims, scenario)
@@ -474,10 +473,10 @@ def test_warm_snc_takes_the_per_event_loop(recording, walk_calls,
                                            monkeypatch, policy):
     # The walks assume an empty SNC; a sim warmed by per-event calls
     # keeps its state through the per-event loop.
-    configs = {"snc8k": SNCConfig(size_bytes=8 * 1024, policy=policy)}
+    spec = SNCSpec("snc8k", size_bytes=8 * 1024, policy=policy.value)
 
     def price():
-        [sim] = _build_sims(configs, None).values()
+        sim = spec.build_sim()
         for line in range(64):
             sim.writeback(line)
         batch.replay_events_batch([sim], [], recording.kinds,
@@ -520,13 +519,12 @@ def test_foreign_writeback_owner_takes_a_walk(recording, walk_calls,
     # default), which the walks key apart.
     aux = array("Q", recording.aux)
     aux[recording.kinds.index(EVENT_WRITEBACK)] = 7
-    configs = {"lru8k": SNCConfig(size_bytes=8 * 1024),
-               "norepl8k": SNCConfig(size_bytes=8 * 1024,
-                                     policy=SNCPolicy.NO_REPLACEMENT)}
-    walked = _price(_build_sims(configs, None), recording, aux)
+    specs = (SNCSpec("lru8k", size_bytes=8 * 1024),
+             SNCSpec("norepl8k", size_bytes=8 * 1024, policy=_NOREPL))
+    walked = _price(_sims(specs), recording, aux)
     assert walk_calls["stack"] == walk_calls["ranks"] == [[(1, 4096)]]
     _per_event_only(monkeypatch)
-    assert _price(_build_sims(configs, None), recording, aux) == walked
+    assert _price(_sims(specs), recording, aux) == walked
 
 
 def _narrow_split(config, strategy):
@@ -572,11 +570,10 @@ def test_overflowing_split_lanes_take_the_per_event_loop(
 
 
 def test_walked_stats_equal_the_per_event_loop(recording, monkeypatch):
-    configs = {spec.key: spec.to_config() for spec in MIXED
-               if spec.scheme == "otp"}
+    specs = [spec for spec in MIXED if spec.scheme == "otp"]
 
     def price():
-        sims = _build_sims(configs, None)
+        sims = _sims(specs)
         batch.replay_events_batch(list(sims.values()), [],
                                   recording.kinds, recording.lines,
                                   recording.aux)
@@ -627,11 +624,8 @@ def test_integrity_beside_per_event_lanes_equals_per_event(recording,
     assert walk_calls["stack"] == [[(1024, 8), (1, 4096)]]
     assert walk_calls["ranks"] == [[(1, 4096)]]
     assert len(walk_calls["per-event"]) == 1
-    request = replay_request_for(task)
-    sims = _build_sims(dict(request.snc_configs),
-                       dict(request.snc_schemes))
-    models = _build_integrity_models(dict(request.integrity_configs),
-                                     dict(request.integrity_providers))
+    sims = _sims(task.snc_configs)
+    models = {spec.key: spec.build_model() for spec in task.integrity}
     kinds, lines = recording.kinds, recording.lines
     for sim in sims.values():
         per_event(sim, kinds, lines, recording.aux)
